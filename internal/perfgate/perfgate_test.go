@@ -190,7 +190,8 @@ func TestCheckFloorFailsWhenUnreported(t *testing.T) {
 }
 
 // TestCommittedScaleBaselineParses: BENCH_scale.json must stay
-// parseable and keep the 10M msgs/sec floor the scale claim rests on.
+// parseable and keep the 10M msgs/sec floor the scale claim rests on,
+// and an events/s floor on the 1024-node hotspot run.
 func TestCommittedScaleBaselineParses(t *testing.T) {
 	f, err := os.Open("../../BENCH_scale.json")
 	if err != nil {
@@ -201,17 +202,24 @@ func TestCommittedScaleBaselineParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var storm *BaselineBenchmark
-	for i := range b.Benchmarks {
-		if b.Benchmarks[i].Name == "BenchmarkMulticastStorm1024" {
-			storm = &b.Benchmarks[i]
+	floors := make(map[string]map[string]float64)
+	for _, bm := range b.Benchmarks {
+		floors[bm.Name] = bm.Floors
+	}
+	for _, want := range []struct {
+		bench, metric string
+		min           float64
+	}{
+		{"BenchmarkMulticastStorm1024", "msgs/sec", 10_000_000},
+		{"BenchmarkHotspot1024", "events/s", 1},
+	} {
+		fl, ok := floors[want.bench]
+		if !ok {
+			t.Fatalf("BENCH_scale.json does not list %s", want.bench)
 		}
-	}
-	if storm == nil {
-		t.Fatal("BENCH_scale.json does not list BenchmarkMulticastStorm1024")
-	}
-	if storm.Floors["msgs/sec"] < 10_000_000 {
-		t.Fatalf("msgs/sec floor = %g, want >= 10M", storm.Floors["msgs/sec"])
+		if fl[want.metric] < want.min {
+			t.Fatalf("%s %s floor = %g, want >= %g", want.bench, want.metric, fl[want.metric], want.min)
+		}
 	}
 }
 

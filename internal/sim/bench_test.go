@@ -11,7 +11,9 @@ package sim
 // delivery a few hundred nanoseconds out). The sparse case spreads the
 // same event count over a horizon six orders of magnitude wider. The
 // cancel case measures lazy deletion against the timer-like pattern
-// where most scheduled work is canceled before it fires.
+// where most scheduled work is canceled before it fires. The
+// phase-shift case is the 1024-node hotspot shape: a dense burst sizes
+// the queue for 1 ns spacing, then the steady state runs 100x sparser.
 
 import "testing"
 
@@ -96,4 +98,56 @@ func BenchmarkEngineCancel(b *testing.B) {
 		}
 		e.Run()
 	}
+}
+
+// Phase-shift schedule: phaseBurst one-shot events and the starts of
+// phaseChains chains interleave 1 ns apart over [0, 2048), so the
+// growth rebuilds size the queue for 1 ns spacing. Each chain then
+// reschedules itself phaseSteps times 51.2-153.6 us ahead: about a
+// thousand live events ~100 ns apart, 100x sparser than the burst.
+const (
+	phaseBurst  = 1024
+	phaseChains = 1024
+	phaseSteps  = 64
+)
+
+// runPhaseShift runs the phase-shift schedule on e and returns the
+// number of events fired.
+func runPhaseShift(e *Engine) int {
+	fired := 0
+	for j := 0; j < phaseBurst; j++ {
+		e.At(Time(2*j), func() { fired++ })
+	}
+	for c := 0; c < phaseChains; c++ {
+		c := c
+		depth := 0
+		var step func()
+		step = func() {
+			fired++
+			depth++
+			if depth < phaseSteps {
+				e.After(Time(51200+(c*7919+depth*104729)%102400), step)
+			}
+		}
+		e.At(Time(2*c+1), step)
+	}
+	e.Run()
+	return fired
+}
+
+// BenchmarkEngineRunPhaseShift fires the phase-shift schedule and
+// reports the mean buckets each dequeue scanned.
+func BenchmarkEngineRunPhaseShift(b *testing.B) {
+	b.ReportAllocs()
+	var pops, scanned uint64
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		if fired := runPhaseShift(e); fired != phaseBurst+phaseChains*phaseSteps {
+			b.Fatalf("fired %d events, want %d", fired, phaseBurst+phaseChains*phaseSteps)
+		}
+		s := e.QueueStats()
+		pops += s.Pops
+		scanned += s.Scanned
+	}
+	b.ReportMetric(float64(scanned)/float64(pops), "buckets/pop")
 }

@@ -10,8 +10,8 @@ package sim
 // Buckets are intrusive singly-linked lists threaded through
 // Event.next: a push is a pointer prepend, and scans, compactions and
 // rebuilds relink events in place. The queue therefore allocates only
-// when the bucket *count* grows (a rebuild to a larger power of two) —
-// never per push — which is what keeps the sparse-horizon schedule
+// when the bucket *count* grows past its largest earlier size — never
+// per push — which is what keeps the sparse-horizon schedule
 // allocation-free in steady state (see TestCalQueueSparseAllocs). The
 // earlier slice-of-slices layout re-grew every bucket's backing array
 // after each rebuild, costing tens of thousands of allocations per
@@ -31,9 +31,23 @@ package sim
 //
 // Cancellation is lazy: Engine.Cancel only marks the event dead and
 // adjusts counters; the entry is unlinked when a scan or rebuild next
-// touches it. Rebuilds re-spread events over 2x the live count in
-// buckets and re-derive the width from the live span, so occupancy
-// stays O(1) per bucket per year for self-similar schedules.
+// touches it.
+//
+// A rebuild re-spreads the live events over 2x the live count in
+// buckets and re-derives the width from the live span. Three things
+// trigger one:
+//   - push: the population (tombstones included) outgrows twice the
+//     bucket count; pop: tombstones outnumber live events;
+//   - pop: a scan finds a whole ring empty, so every event is more
+//     than a year ahead;
+//   - pop: a window of pops scanned more than calScanLimit buckets
+//     each on average (checkWindow).
+//
+// The last two catch a schedule whose spacing drifts while its
+// population does not: the 1024-node hotspot run opens with a burst
+// ~1 ns apart that sizes the width, then runs ~100x sparser, where the
+// burst's width would make every pop scan ~110 empty buckets. Rebuilds
+// reuse the bucket slice's capacity, so they allocate only to grow.
 type calQueue struct {
 	buckets []*Event // head of each bucket's intrusive list
 	mask    uint64   // len(buckets)-1; len is a power of two
@@ -53,14 +67,32 @@ type calQueue struct {
 	// invalidation storm, whose deliveries all land on one tick. The
 	// slice is scratch storage, reused across pops.
 	due []*Event
+
+	// Lifetime counters, read through Engine.QueueStats.
+	pops, scanned, sweeps, rebuilds uint64
+
+	// Scan-cost window (see checkWindow): its length in pops, the pop
+	// count that closes it, and the scanned count when it opened.
+	window, windowEnd, windowScanned uint64
 }
 
-const calMinBuckets = 8
+const (
+	calMinBuckets = 8
+	// calWindow pops make one scan-cost window; a window averaging more
+	// than calScanLimit buckets per pop triggers a rebuild. Rebuilds
+	// that leave the geometry unchanged double the window, up to
+	// calMaxWindow pops.
+	calWindow    = 256
+	calScanLimit = 8
+	calMaxWindow = 1 << 16
+)
 
 func (q *calQueue) init() {
 	q.buckets = make([]*Event, calMinBuckets)
 	q.mask = calMinBuckets - 1
 	q.shift = 0
+	q.window = calWindow
+	q.windowEnd = calWindow
 	q.resetCursor(0)
 }
 
@@ -107,23 +139,61 @@ func (q *calQueue) pop() *Event {
 	if q.dead > q.size && q.dead > 64 {
 		q.rebuild() // mostly tombstones: compact
 	}
+	if q.pops++; q.pops >= q.windowEnd {
+		q.checkWindow()
+	}
+	if ev := q.scan(); ev != nil {
+		return ev
+	}
+	// A full ring (one "year") without a due event: every live event is
+	// more than nbuckets*width ahead, so the width no longer fits the
+	// schedule. Re-derive it; the rebuild parks the cursor on the
+	// minimum's window, so the rescan finds it in the first bucket.
+	q.sweeps++
+	q.rebuild()
+	if ev := q.scan(); ev != nil {
+		return ev
+	}
+	panic("sim: calendar queue lost an event") // size said otherwise
+}
+
+// scan advances the cursor at most one ring, bucket by bucket, and
+// pops the first due event it finds (nil after a whole empty ring).
+func (q *calQueue) scan() *Event {
 	w := q.width()
-	for scanned := 0; scanned < len(q.buckets); scanned++ {
+	for n := 1; n <= len(q.buckets); n++ {
 		q.drainDue(q.cur)
 		q.pruneDueHead()
 		if len(q.due) > 0 && q.due[0].at < q.bucketTop {
+			q.scanned += uint64(n)
 			q.size--
 			return q.heapPop()
 		}
 		q.cur = int(uint64(q.cur+1) & q.mask)
 		q.bucketTop += w
 	}
-	// A full ring (one "year") without a due event: every live event is
-	// more than nbuckets*width ahead. Find the global minimum directly
-	// and restart the cursor there.
-	ev := q.popMinDirect()
-	q.size--
-	return ev
+	q.scanned += uint64(len(q.buckets))
+	return nil
+}
+
+// checkWindow closes a window of pops: when they scanned more than
+// calScanLimit buckets each on average, the width has drifted from the
+// schedule's spacing and the queue rebuilds. A rebuild that leaves the
+// geometry unchanged cannot help the next window either, so the window
+// doubles (up to calMaxWindow) before the next check; one that changes
+// it resets the window to calWindow.
+func (q *calQueue) checkWindow() {
+	if q.scanned-q.windowScanned > calScanLimit*q.window {
+		shift, nb := q.shift, len(q.buckets)
+		q.rebuild()
+		if q.shift == shift && len(q.buckets) == nb {
+			q.window = min(2*q.window, calMaxWindow)
+		} else {
+			q.window = calWindow
+		}
+	}
+	q.windowEnd = q.pops + q.window
+	q.windowScanned = q.scanned
 }
 
 // drainDue unlinks every event of bucket i that falls inside the active
@@ -216,59 +286,13 @@ func (q *calQueue) heapPop() *Event {
 	return ev
 }
 
-// popMinDirect removes and returns the global minimum by (at, seq) with
-// a full sweep of the buckets and the due heap, and repositions the
-// cursor at its window.
-func (q *calQueue) popMinDirect() *Event {
-	var best, bestPrev *Event
-	bi := -1
-	for i := range q.buckets {
-		var prev *Event
-		for ev := q.buckets[i]; ev != nil; {
-			if ev.dead {
-				next := ev.next
-				if prev == nil {
-					q.buckets[i] = next
-				} else {
-					prev.next = next
-				}
-				ev.next = nil
-				q.dead--
-				ev = next
-				continue
-			}
-			if best == nil || eventBefore(ev, best) {
-				best, bestPrev, bi = ev, prev, i
-			}
-			prev = ev
-			ev = ev.next
-		}
-	}
-	q.pruneDueHead()
-	if len(q.due) > 0 && (best == nil || eventBefore(q.due[0], best)) {
-		ev := q.heapPop()
-		q.resetCursor(ev.at)
-		return ev
-	}
-	if best == nil {
-		panic("sim: calendar queue lost an event") // size said otherwise
-	}
-	if bestPrev == nil {
-		q.buckets[bi] = best.next
-	} else {
-		bestPrev.next = best.next
-	}
-	best.next = nil
-	q.resetCursor(best.at)
-	return best
-}
-
 // rebuild re-spreads the live events over a bucket count sized for the
 // population and a width sized for the live span, dropping tombstones.
 // The live events are collected by relinking them into one chain, so
 // the only allocation is the bucket-head slice itself — and only when
-// the bucket count actually changes.
+// the bucket count outgrows its capacity.
 func (q *calQueue) rebuild() {
+	q.rebuilds++
 	// Chain every live event together and measure the population. Due
 	// heap residents are live events too — fold them back in.
 	var live *Event
@@ -325,21 +349,30 @@ func (q *calQueue) rebuild() {
 	for nb < 2*n {
 		nb <<= 1
 	}
-	if nb != len(q.buckets) {
+	// Every bucket was emptied above, and so was any tail a shrink left
+	// beyond len, so a resize within capacity is a reslice.
+	if nb > cap(q.buckets) {
 		//cenju4:alloc-ok bucket-count growth amortizes across the pushes that doubled occupancy
 		q.buckets = make([]*Event, nb)
-		q.mask = uint64(nb) - 1
 	}
+	q.buckets = q.buckets[:nb]
+	q.mask = uint64(nb) - 1
 
-	// Width: the average inter-event gap of the live population, rounded
-	// down to a power of two (min 1). With nb >= 2*size this spreads a
-	// uniform schedule at <= 1 event per bucket per year.
+	// Width: the live population's mean inter-event gap rounded down to
+	// a power of two, times 4 (min 1), so a window holds 2-4 gaps of a
+	// uniform schedule. Brown uses 3 gaps: an empty bucket costs a scan
+	// step, while a few events per window cost only due-heap sifts. A
+	// year (nb >= 2*size buckets) then spans over four times the live
+	// horizon.
 	q.shift = 0
 	switch {
 	case n > 1:
 		gap := (hi - lo) / Time(n)
 		for q.shift < 40 && Time(1)<<(q.shift+1) <= gap {
 			q.shift++
+		}
+		if gap > 0 {
+			q.shift += 2
 		}
 		q.resetCursor(lo)
 	case n == 1:

@@ -181,6 +181,54 @@ func (d *diffDriver) cancelRandom() {
 	delete(d.live, victim)
 }
 
+// chain schedules one link of a self-rescheduling chain at at: each
+// firing schedules the next link wide/2..3*wide/2 later until left
+// runs out, and occasionally cancels a pending event or stops the run.
+func (d *diffDriver) chain(at, wide Time, left int) {
+	id := d.next
+	d.next++
+	cancel := d.schedule(at, func() {
+		d.log = append(d.log, fireRec{id: id, at: d.now()})
+		delete(d.live, id)
+		switch r := d.rng.Intn(100); {
+		case r < 5:
+			d.cancelRandom()
+		case r < 6:
+			d.stop()
+		}
+		if left > 0 {
+			d.chain(d.now()+wide/2+Time(d.rng.Int63n(int64(wide))), wide, left-1)
+		}
+	})
+	d.live[id] = cancel
+}
+
+// runPhaseScript drives the phase-shift scenario for seed: a burst of
+// events about half a nanosecond apart (ties included, each spawning
+// short follow-ups as in runScript), then tens to hundreds of chains
+// whose links are 1-128 us apart, with RunUntil windows before the
+// final drain.
+func runPhaseScript(seed int64, d *diffDriver) {
+	d.rng = rand.New(rand.NewSource(seed))
+	d.live = make(map[int]func())
+	burst := 200 + d.rng.Intn(800)
+	for i := 0; i < burst; i++ {
+		d.spawn(Time(d.rng.Intn(burst / 2)))
+	}
+	chains := 64 + d.rng.Intn(448)
+	wide := Time(1) << (10 + d.rng.Intn(8))
+	for c := 0; c < chains; c++ {
+		d.chain(Time(d.rng.Intn(burst)), wide, 8+d.rng.Intn(24))
+	}
+	for r := d.rng.Intn(4); r > 0; r-- {
+		d.runUntil(d.now() + Time(d.rng.Int63n(4*int64(wide))))
+	}
+	d.run()
+	for d.pending() > 0 { // drain past any trailing in-callback Stop
+		d.run()
+	}
+}
+
 // runScript drives one engine through the scripted scenario for seed.
 func runScript(seed int64, d *diffDriver) {
 	d.rng = rand.New(rand.NewSource(seed))
@@ -261,33 +309,68 @@ func TestDifferentialCalendarVsHeap(t *testing.T) {
 		sequences = 1500
 	}
 	for seed := int64(0); seed < int64(sequences); seed++ {
-		real := NewEngine()
-		ref := &refEngine{}
-		dReal := bindReal(real)
-		dRef := bindRef(ref)
-		runScript(seed, dReal)
-		runScript(seed, dRef)
+		diffScript(t, seed, runScript)
+	}
+}
 
-		if len(dReal.log) != len(dRef.log) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d",
-				seed, len(dReal.log), len(dRef.log))
-		}
-		for i := range dReal.log {
-			if dReal.log[i] != dRef.log[i] {
-				t.Fatalf("seed %d: firing %d diverged: got {id %d at %v}, reference {id %d at %v}",
-					seed, i, dReal.log[i].id, dReal.log[i].at, dRef.log[i].id, dRef.log[i].at)
-			}
-		}
-		if real.Now() != ref.now {
-			t.Fatalf("seed %d: clock %v, reference %v", seed, real.Now(), ref.now)
-		}
-		if real.Fired() != ref.fired {
-			t.Fatalf("seed %d: fired counter %d, reference %d", seed, real.Fired(), ref.fired)
-		}
-		if real.Pending() != 0 {
-			t.Fatalf("seed %d: %d events still pending after drain", seed, real.Pending())
+// TestDifferentialCalendarVsHeapPhaseShift runs the differential check
+// over phase-shift scripts: a dense burst sizes the queue, then chains
+// run far sparser, so the queue must re-derive its width through the
+// scan-cost window and empty-ring rebuilds while cancels, Steps,
+// RunUntil windows and Stops interleave. The test also checks that the
+// scripts reach those rebuilds.
+func TestDifferentialCalendarVsHeapPhaseShift(t *testing.T) {
+	sequences := 300
+	if testing.Short() {
+		sequences = 60
+	}
+	var sweeps uint64
+	rederived := 0
+	for seed := int64(0); seed < int64(sequences); seed++ {
+		e := diffScript(t, seed, runPhaseScript)
+		sweeps += e.QueueStats().Sweeps
+		if e.queue.shift > 0 { // the burst left it at 0
+			rederived++
 		}
 	}
+	if sweeps == 0 || rederived < sequences/2 {
+		t.Fatalf("scripts reached %d empty-ring sweeps and re-derived the width in %d of %d runs; want some sweeps and at least half",
+			sweeps, rederived, sequences)
+	}
+}
+
+// diffScript runs script for seed on the calendar-queue engine and on
+// the reference heap engine, fails t on any divergence, and returns the
+// calendar-queue engine.
+func diffScript(t *testing.T, seed int64, script func(int64, *diffDriver)) *Engine {
+	t.Helper()
+	real := NewEngine()
+	ref := &refEngine{}
+	dReal := bindReal(real)
+	dRef := bindRef(ref)
+	script(seed, dReal)
+	script(seed, dRef)
+
+	if len(dReal.log) != len(dRef.log) {
+		t.Fatalf("seed %d: fired %d events, reference fired %d",
+			seed, len(dReal.log), len(dRef.log))
+	}
+	for i := range dReal.log {
+		if dReal.log[i] != dRef.log[i] {
+			t.Fatalf("seed %d: firing %d diverged: got {id %d at %v}, reference {id %d at %v}",
+				seed, i, dReal.log[i].id, dReal.log[i].at, dRef.log[i].id, dRef.log[i].at)
+		}
+	}
+	if real.Now() != ref.now {
+		t.Fatalf("seed %d: clock %v, reference %v", seed, real.Now(), ref.now)
+	}
+	if real.Fired() != ref.fired {
+		t.Fatalf("seed %d: fired counter %d, reference %d", seed, real.Fired(), ref.fired)
+	}
+	if real.Pending() != 0 {
+		t.Fatalf("seed %d: %d events still pending after drain", seed, real.Pending())
+	}
+	return real
 }
 
 // ---------------------------------------------------------------------
@@ -363,4 +446,22 @@ func TestCalQueueTombstoneCompaction(t *testing.T) {
 			t.Fatalf("firing %d at %v, want %v", i, at, want)
 		}
 	}
+}
+
+// TestCalQueuePhaseShiftScanCost is the regression fence for width
+// adaptation: after a dense burst sizes the queue for 1 ns spacing, a
+// steady state 100x sparser must not keep scanning the empty buckets
+// the stale width leaves between events (a width that is never
+// re-derived scans ~100 buckets per dequeue here).
+func TestCalQueuePhaseShiftScanCost(t *testing.T) {
+	e := NewEngine()
+	runPhaseShift(e)
+	s := e.QueueStats()
+	if s.Pops != phaseBurst+phaseChains*phaseSteps {
+		t.Fatalf("popped %d events, want %d", s.Pops, phaseBurst+phaseChains*phaseSteps)
+	}
+	if got := s.ScanPerPop(); got > 4 {
+		t.Fatalf("scanned %.1f buckets per pop (%+v), want <= 4", got, s)
+	}
+	t.Logf("%+v: %.2f buckets per pop", s, s.ScanPerPop())
 }

@@ -112,6 +112,34 @@ func (e *Engine) Pending() int {
 	return e.queue.size
 }
 
+// QueueStats is the calendar queue's scan-cost accounting: how much
+// work dequeues did, not what the simulation computed. Ranked and
+// PDES shard engines reach the same results through other queues, so
+// it stays out of digests and the metrics registry.
+type QueueStats struct {
+	Pops     uint64 // events dequeued
+	Scanned  uint64 // buckets those dequeues examined
+	Sweeps   uint64 // dequeues that found a whole ring empty
+	Rebuilds uint64 // rebuilds, for any reason
+}
+
+// ScanPerPop returns the mean buckets examined per dequeue (0 before
+// the first).
+func (s QueueStats) ScanPerPop() float64 {
+	if s.Pops == 0 {
+		return 0
+	}
+	return float64(s.Scanned) / float64(s.Pops)
+}
+
+// QueueStats returns the calendar queue's counters since NewEngine.
+// A ranked engine orders events in its rank heap instead and reports
+// zeros.
+func (e *Engine) QueueStats() QueueStats {
+	q := &e.queue
+	return QueueStats{Pops: q.pops, Scanned: q.scanned, Sweeps: q.sweeps, Rebuilds: q.rebuilds}
+}
+
 // alloc returns a zeroed event record from the pool.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
