@@ -28,16 +28,16 @@
 package cenju4
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"cenju4/internal/core"
 	"cenju4/internal/directory"
-	"cenju4/internal/faults"
 	"cenju4/internal/fuzz"
 	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
-	"cenju4/internal/npb"
+	"cenju4/internal/run"
 	"cenju4/internal/runner"
 	"cenju4/internal/topology"
 	"cenju4/internal/trace"
@@ -224,13 +224,15 @@ type LatencyStats struct {
 
 // WorkloadOptions parameterizes RunNPB.
 type WorkloadOptions struct {
-	// Nodes is the machine size (default 16).
+	// Nodes is the machine size: a power of two up to 1024 (default
+	// 16; seq runs on 1 node).
 	Nodes int
 	// DataMapping applies the shared-data mappings (default true).
 	DataMapping *bool
-	// Iterations is the outer time-step count (default 2).
+	// Iterations is the outer time-step count, 1 to 64 (default 2).
 	Iterations int
-	// Scale is the problem size relative to NPB Class A (default 0.05).
+	// Scale is the problem size relative to NPB Class A, 0.001 to 4
+	// (default 0.05).
 	Scale float64
 	// UpdateProtocol runs the application's hot shared region under the
 	// update-type protocol extension (the paper's Section 4.2.3
@@ -239,9 +241,9 @@ type WorkloadOptions struct {
 	UpdateProtocol bool
 	// Fault is a deterministic fault plan — a preset name like
 	// "light-loss" or a k=v spec like "drop=0.02,seed=7" (see
-	// internal/faults). Recoverable plans only: the run must complete,
-	// so an unrecoverable plan aborts with the machine watchdog's
-	// diagnosis. Empty means fault-free.
+	// internal/faults). An unrecoverable plan makes RunNPB return an
+	// error wrapping machine.ErrDeadlock with the watchdog's diagnosis.
+	// Empty means fault-free.
 	Fault string
 	// IntraParallel shards the simulated nodes over IntraParallel
 	// conservative-PDES partitions that advance in parallel windows (see
@@ -267,87 +269,33 @@ type WorkloadOptions struct {
 
 // RunNPB builds and runs one of the paper's workloads. app is one of
 // "bt", "cg", "ft", "sp"; variant is "seq", "mpi", "dsm1" or "dsm2".
+// It executes through the same pipeline as cenju4-serve and the
+// experiment harness (internal/run): options out of range are rejected
+// with a named error, a run whose programs never finish returns an
+// error wrapping machine.ErrDeadlock with the watchdog's diagnosis, and
+// machine-wide coherence is checked after every run.
 func RunNPB(app, variant string, opts WorkloadOptions) (WorkloadResult, error) {
-	a, err := parseApp(app)
-	if err != nil {
-		return WorkloadResult{}, err
-	}
-	v, err := parseVariant(variant)
-	if err != nil {
-		return WorkloadResult{}, err
-	}
-	if opts.Nodes == 0 {
-		opts.Nodes = 16
-	}
-	if v == npb.Seq {
-		opts.Nodes = 1
-	}
-	mapped := true
-	if opts.DataMapping != nil {
-		mapped = *opts.DataMapping
-	}
-	w, err := npb.Build(npb.Options{
-		App:            a,
-		Variant:        v,
+	spec := run.Spec{
+		App:            app,
+		Variant:        variant,
 		Nodes:          opts.Nodes,
-		DataMapping:    mapped,
+		NoMapping:      opts.DataMapping != nil && !*opts.DataMapping,
 		Iterations:     opts.Iterations,
 		Scale:          opts.Scale,
 		UpdateProtocol: opts.UpdateProtocol,
-	})
+		Fault:          opts.Fault,
+		IntraParallel:  opts.IntraParallel,
+	}
+	ro := run.Options{IntraWorkers: opts.IntraWorkers, Metrics: opts.Metrics, Trace: opts.Trace}
+	if ro.IntraWorkers == 0 {
+		ro.IntraWorkers = runner.NestedBudget(1, opts.IntraParallel)
+	}
+	res, err := run.Execute(context.Background(), spec, ro)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
-	var fault faults.Spec
-	if opts.Fault != "" {
-		fault, err = faults.ParseSpec(opts.Fault)
-		if err != nil {
-			return WorkloadResult{}, err
-		}
-		fault = fault.Normalize()
-		if err := fault.Validate(); err != nil {
-			return WorkloadResult{}, err
-		}
-	}
-	if opts.IntraParallel > 1 {
-		if k := opts.IntraParallel; k&(k-1) != 0 || k > opts.Nodes {
-			return WorkloadResult{}, fmt.Errorf("cenju4: IntraParallel %d must be a power of two <= %d nodes", k, opts.Nodes)
-		}
-		if v == npb.MPI {
-			return WorkloadResult{}, fmt.Errorf("cenju4: the mpi variant uses blocking Recv, which has zero lookahead; intra-run parallelism needs IntraParallel=1")
-		}
-		if opts.Fault != "" {
-			return WorkloadResult{}, fmt.Errorf("cenju4: fault injection is unsupported under IntraParallel > 1")
-		}
-		if opts.Trace != nil {
-			return WorkloadResult{}, fmt.Errorf("cenju4: protocol tracing is unsupported under IntraParallel > 1")
-		}
-		if opts.IntraWorkers == 0 {
-			opts.IntraWorkers = runner.NestedBudget(1, opts.IntraParallel)
-		}
-	}
-	m := machine.New(machine.Config{
-		Nodes:         opts.Nodes,
-		Multicast:     true,
-		UpdateMode:    w.UpdateMode,
-		Fault:         fault,
-		IntraParallel: opts.IntraParallel,
-		IntraWorkers:  opts.IntraWorkers,
-	})
-	if opts.Trace != nil {
-		m.SetTracer(opts.Trace.Tracer())
-	}
-	r := m.Run(w.Progs)
-	if opts.Metrics != nil {
-		m.MetricsInto(opts.Metrics)
-	}
-	tot := r.Totals()
-	misses := float64(tot.Misses)
-	if misses == 0 {
-		misses = 1
-	}
 	lat := make(map[string]LatencyStats)
-	for kind, h := range m.LatencyHistograms() {
+	for kind, h := range res.Latency {
 		lat[kind.String()] = LatencyStats{
 			Count: h.Count(),
 			Mean:  time.Duration(h.Mean()),
@@ -356,34 +304,19 @@ func RunNPB(app, variant string, opts WorkloadOptions) (WorkloadResult, error) {
 			Max:   time.Duration(h.Max()),
 		}
 	}
+	sum := res.Summary
 	return WorkloadResult{
-		Time:             time.Duration(r.Time),
-		Instructions:     tot.Instructions,
-		MemAccesses:      tot.MemAccesses,
-		MissRatio:        tot.MissRatio(),
-		PrivateMissShare: float64(tot.PrivateMisses) / misses,
-		LocalMissShare:   float64(tot.LocalMisses) / misses,
-		RemoteMissShare:  float64(tot.RemoteMisses) / misses,
-		SyncFraction:     float64(tot.SyncTime) / (float64(r.Time) * float64(opts.Nodes)),
-		RewriteRatio:     w.Meta.RewriteRatio,
+		Time:             time.Duration(sum.TimeNs),
+		Instructions:     sum.Instructions,
+		MemAccesses:      sum.MemAccesses,
+		MissRatio:        sum.MissRatio,
+		PrivateMissShare: sum.PrivateMissShare,
+		LocalMissShare:   sum.LocalMissShare,
+		RemoteMissShare:  sum.RemoteMissShare,
+		SyncFraction:     sum.SyncFraction,
+		RewriteRatio:     sum.RewriteRatio,
 		Latency:          lat,
 	}, nil
-}
-
-func parseApp(s string) (npb.App, error) {
-	a, err := npb.ParseApp(s)
-	if err != nil {
-		return 0, fmt.Errorf("cenju4: unknown application %q (want bt, cg, ft or sp)", s)
-	}
-	return a, nil
-}
-
-func parseVariant(s string) (npb.Variant, error) {
-	v, err := npb.ParseVariant(s)
-	if err != nil {
-		return 0, fmt.Errorf("cenju4: unknown variant %q (want seq, mpi, dsm1 or dsm2)", s)
-	}
-	return v, nil
 }
 
 // ---------------------------------------------------------------------

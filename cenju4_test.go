@@ -1,8 +1,12 @@
 package cenju4
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"cenju4/internal/machine"
+	"cenju4/internal/trace"
 )
 
 func TestMachineLoadStoreLifecycle(t *testing.T) {
@@ -102,6 +106,46 @@ func TestRunNPBErrors(t *testing.T) {
 	}
 	if _, err := RunNPB("bt", "openmp", WorkloadOptions{}); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+}
+
+// TestRunNPBBadInputErrors: out-of-range options and a run the
+// watchdog aborts come back as named errors, never as panics or
+// silently accepted runs.
+func TestRunNPBBadInputErrors(t *testing.T) {
+	noMap := false
+	cases := []struct {
+		name     string
+		opts     WorkloadOptions
+		deadlock bool
+	}{
+		{"non-power-of-two nodes", WorkloadOptions{Nodes: 12}, false},
+		{"too many nodes", WorkloadOptions{Nodes: 2048}, false},
+		{"negative scale", WorkloadOptions{Scale: -1}, false},
+		{"negative iterations", WorkloadOptions{Iterations: -3}, false},
+		{"unrecoverable fault", WorkloadOptions{Nodes: 8, DataMapping: &noMap, Scale: 0.02, Iterations: 1,
+			Fault: "drop=1,scope=forwards,timeout=20000,retries=2"}, true},
+		{"traced PDES run", WorkloadOptions{Nodes: 8, IntraParallel: 2, Trace: trace.NewCollector(16)}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("RunNPB panicked: %v", p)
+				}
+			}()
+			_, err := RunNPB("cg", "dsm2", tc.opts)
+			if err == nil {
+				t.Fatal("RunNPB accepted the input")
+			}
+			if got := errors.Is(err, machine.ErrDeadlock); got != tc.deadlock {
+				t.Fatalf("errors.Is(err, machine.ErrDeadlock) = %v, want %v (err: %v)", got, tc.deadlock, err)
+			}
+			var de *machine.DeadlockError
+			if tc.deadlock && (!errors.As(err, &de) || de.Diagnosis == "") {
+				t.Fatalf("watchdog abort carries no diagnosis: %v", err)
+			}
+		})
 	}
 }
 

@@ -65,10 +65,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		spec = spec.Normalize()
-		if err := spec.Validate(); err != nil {
-			log.Fatal(err)
-		}
 		cfg.Fault = spec
 	}
 	if *metricsOut != "" || *traceOut != "" {

@@ -80,10 +80,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		spec = spec.Normalize()
-		if err := spec.Validate(); err != nil {
-			log.Fatal(err)
-		}
 		p := fuzz.Plan{Name: *plan, Spec: spec}
 		switch *expect {
 		case "recover":

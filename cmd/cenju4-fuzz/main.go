@@ -75,10 +75,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		spec = spec.Normalize()
-		if err := spec.Validate(); err != nil {
-			log.Fatal(err)
-		}
 		opts.Fault = spec
 	}
 	if !*quiet {

@@ -231,6 +231,10 @@ var SimPackages = map[string]bool{
 	// across runs and across -parallel settings.
 	"cenju4/internal/metrics": true,
 	"cenju4/internal/trace":   true,
+	// The one run pipeline every surface shares: a spec must run the
+	// same wherever it is executed, so its only outside input is the
+	// caller's context.
+	"cenju4/internal/run": true,
 
 	// Deliberately NOT listed: cenju4/internal/serve and the cmd/
 	// binaries. The experiment service is wall-clock-legitimate —

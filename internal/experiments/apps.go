@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"cenju4/internal/cpu"
 	"cenju4/internal/machine"
+	"cenju4/internal/metrics"
 	"cenju4/internal/npb"
+	"cenju4/internal/run"
 	"cenju4/internal/runner"
 	"cenju4/internal/sim"
 )
@@ -25,36 +27,40 @@ func paperNodes(app npb.App) int {
 type appRun struct {
 	meta   npb.Meta
 	result machine.Result
+	sum    run.Summary
 	obs    *runObservation
 }
 
-func runOne(cfg Config, app npb.App, v npb.Variant, nodes int, mapped bool) appRun {
-	w, err := npb.Build(npb.Options{
-		App:         app,
-		Variant:     v,
-		Nodes:       nodes,
-		DataMapping: mapped,
-		Iterations:  cfg.Iterations,
-		Scale:       cfg.Scale,
-	})
+func runOne(cfg Config, j appJob) appRun {
+	intra := cfg.intraFor(j.v, j.nodes)
+	spec := run.Spec{
+		App:            j.app.String(),
+		Variant:        j.v.String(),
+		Nodes:          j.nodes,
+		NoMapping:      !j.mapped,
+		Iterations:     cfg.Iterations,
+		Scale:          cfg.Scale,
+		UpdateProtocol: j.update,
+		Fault:          cfg.Fault.String(),
+		IntraParallel:  intra,
+	}
+	opts := run.Options{IntraWorkers: runner.NestedBudget(cfg.Parallel, intra)}
+	if cfg.Observe != nil {
+		spec.TraceMax = cfg.Observe.TraceCap
+		opts.Metrics = metrics.New()
+	}
+	res, err := run.Execute(context.Background(), spec, opts)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	intra := cfg.intraFor(v, nodes)
-	m := machine.New(machine.Config{
-		Nodes:         nodes,
-		Multicast:     true,
-		Fault:         cfg.Fault,
-		IntraParallel: intra,
-		IntraWorkers:  runner.NestedBudget(cfg.Parallel, intra),
-	})
-	col := cfg.observePre(m)
-	r := m.Run(w.Progs)
-	if err := m.Validate(); err != nil {
-		panic(fmt.Sprintf("experiments: coherence violated by %v/%v: %v", app, v, err))
+	var obs *runObservation
+	if cfg.Observe != nil {
+		obs = &runObservation{reg: opts.Metrics}
+		if res.Trace != nil {
+			obs.stream = res.Trace.Stream(j.label())
+		}
 	}
-	label := fmt.Sprintf("%v/%v nodes=%d", app, v, nodes)
-	return appRun{meta: w.Meta, result: r, obs: cfg.observePost(m, col, label)}
+	return appRun{meta: res.Meta, result: res.Machine, sum: res.Summary, obs: obs}
 }
 
 // appJob names one application run of a sweep: the job lists are pure
@@ -64,14 +70,23 @@ type appJob struct {
 	v      npb.Variant
 	nodes  int
 	mapped bool
+	update bool // the update-protocol extension (FutureWork)
+}
+
+// label names a run's trace stream.
+func (j appJob) label() string {
+	l := fmt.Sprintf("%v/%v nodes=%d", j.app, j.v, j.nodes)
+	if j.update {
+		l += " update=true"
+	}
+	return l
 }
 
 // runJobs executes the jobs across cfg.Parallel workers (each run
 // builds its own machine) and returns the results in job order.
 func runJobs(cfg Config, jobs []appJob) []appRun {
 	runs, panics := runner.Map(cfg.parOpts(), len(jobs), func(i int) appRun {
-		j := jobs[i]
-		return runOne(cfg, j.app, j.v, j.nodes, j.mapped)
+		return runOne(cfg, jobs[i])
 	})
 	rethrow(panics)
 	for _, run := range runs {
@@ -124,9 +139,9 @@ func Figure11(cfg Config) Figure11Result {
 	}}
 	var jobs []appJob
 	for _, app := range npb.Apps() {
-		jobs = append(jobs, appJob{app, npb.Seq, 1, false})
+		jobs = append(jobs, appJob{app, npb.Seq, 1, false, false})
 		for _, c := range appVariants {
-			jobs = append(jobs, appJob{app, c.v, paperNodes(app), c.mapped})
+			jobs = append(jobs, appJob{app, c.v, paperNodes(app), c.mapped, false})
 		}
 	}
 	runs := runJobs(cfg, jobs)
@@ -221,9 +236,9 @@ func Figure12(cfg Config) Figure12Result {
 	var res Figure12Result
 	var jobs []appJob
 	for _, app := range npb.Apps() {
-		jobs = append(jobs, appJob{app, npb.Seq, 1, false})
+		jobs = append(jobs, appJob{app, npb.Seq, 1, false, false})
 		for _, n := range figure12Counts(app) {
-			jobs = append(jobs, appJob{app, npb.DSM2, n, true})
+			jobs = append(jobs, appJob{app, npb.DSM2, n, true, false})
 		}
 	}
 	runs := runJobs(cfg, jobs)
@@ -306,26 +321,21 @@ func Table3(cfg Config) Table3Result {
 	var jobs []appJob
 	for _, app := range npb.Apps() {
 		for _, c := range appVariants[1:] { // the four dsm programs
-			jobs = append(jobs, appJob{app, c.v, paperNodes(app), c.mapped})
+			jobs = append(jobs, appJob{app, c.v, paperNodes(app), c.mapped, false})
 		}
 	}
 	runs := runJobs(cfg, jobs)
 	for i, run := range runs {
 		j := jobs[i]
-		tot := run.result.Totals()
-		misses := float64(tot.Misses)
-		if misses == 0 {
-			misses = 1
-		}
 		res.Rows = append(res.Rows, Table3Row{
 			App:       j.app,
 			Variant:   j.v,
 			Mapped:    j.mapped,
 			Nodes:     j.nodes,
-			MissRatio: tot.MissRatio(),
-			Private:   float64(tot.PrivateMisses) / misses,
-			Local:     float64(tot.LocalMisses) / misses,
-			Remote:    float64(tot.RemoteMisses) / misses,
+			MissRatio: run.sum.MissRatio,
+			Private:   run.sum.PrivateMissShare,
+			Local:     run.sum.LocalMissShare,
+			Remote:    run.sum.RemoteMissShare,
 		})
 	}
 	return res
@@ -391,7 +401,7 @@ func Table4(cfg Config) Table4Result {
 	var jobs []appJob
 	for _, app := range npb.Apps() {
 		for _, nodes := range []int{16, paperNodes(app)} {
-			jobs = append(jobs, appJob{app, npb.DSM2, nodes, true})
+			jobs = append(jobs, appJob{app, npb.DSM2, nodes, true, false})
 		}
 	}
 	runs := runJobs(cfg, jobs)
@@ -402,24 +412,20 @@ func Table4(cfg Config) Table4Result {
 		if acc == 0 {
 			acc = 1
 		}
-		misses := float64(tot.Misses)
-		if misses == 0 {
-			misses = 1
-		}
 		res.Rows = append(res.Rows, Table4Row{
 			App:          j.app,
 			Nodes:        j.nodes,
 			ExecTime:     run.result.Time,
-			SyncFrac:     float64(tot.SyncTime) / (float64(run.result.Time) * float64(j.nodes)),
+			SyncFrac:     run.sum.SyncFraction,
 			Instructions: tot.Instructions,
 			MemAccesses:  tot.MemAccesses,
 			AccPrivate:   float64(tot.PrivateAccesses) / acc,
 			AccLocal:     float64(tot.LocalAccesses) / acc,
 			AccRemote:    float64(tot.RemoteAccesses) / acc,
-			MissRatio:    tot.MissRatio(),
-			MissPrivate:  float64(tot.PrivateMisses) / misses,
-			MissLocal:    float64(tot.LocalMisses) / misses,
-			MissRemote:   float64(tot.RemoteMisses) / misses,
+			MissRatio:    run.sum.MissRatio,
+			MissPrivate:  run.sum.PrivateMissShare,
+			MissLocal:    run.sum.LocalMissShare,
+			MissRemote:   run.sum.RemoteMissShare,
 		})
 	}
 	return res
@@ -452,6 +458,3 @@ func (r Table4Result) Render() string {
 	}
 	return "Table 4: characteristics of applications (dsm(2), data mappings; system time not modeled)\n" + t.String()
 }
-
-// Totals re-exports the aggregate CPU stats helper for the CLI.
-func Totals(r machine.Result) cpu.Stats { return r.Totals() }

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"cenju4/internal/faults"
-	"cenju4/internal/machine"
 	"cenju4/internal/metrics"
 	"cenju4/internal/npb"
 	"cenju4/internal/runner"
@@ -88,29 +87,6 @@ type Observation struct {
 type runObservation struct {
 	reg    *metrics.Registry
 	stream trace.Stream
-}
-
-// observePre installs a bounded trace collector on m when tracing is
-// requested; nil otherwise.
-func (c Config) observePre(m *machine.Machine) *trace.Collector {
-	if c.Observe == nil || c.Observe.TraceCap <= 0 {
-		return nil
-	}
-	col := trace.NewCollector(c.Observe.TraceCap)
-	m.SetTracer(col.Tracer())
-	return col
-}
-
-// observePost packages a finished run's registry and (optional) stream.
-func (c Config) observePost(m *machine.Machine, col *trace.Collector, label string) *runObservation {
-	if c.Observe == nil {
-		return nil
-	}
-	o := &runObservation{reg: m.Metrics()}
-	if col != nil {
-		o.stream = col.Stream(label)
-	}
-	return o
 }
 
 // absorb merges one run's payload, in the caller's (run) order.

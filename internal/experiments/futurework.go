@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"cenju4/internal/machine"
 	"cenju4/internal/npb"
-	"cenju4/internal/runner"
 	"cenju4/internal/sim"
 )
 
@@ -37,57 +35,20 @@ type FutureWorkResult struct {
 // under the update-protocol extension.
 func FutureWork(cfg Config) FutureWorkResult {
 	cfg = cfg.withDefaults()
-	type job struct {
-		nodes  int
-		update bool
+	sizes := []int{16, 64, 128}
+	// Job 0 is the sequential CG baseline; then a baseline and an
+	// update-protocol run per size.
+	jobs := []appJob{{app: npb.CG, v: npb.Seq, nodes: 1}}
+	for _, nodes := range sizes {
+		jobs = append(jobs,
+			appJob{app: npb.CG, v: npb.DSM2, nodes: nodes, mapped: true},
+			appJob{app: npb.CG, v: npb.DSM2, nodes: nodes, mapped: true, update: true})
 	}
-	var jobs []job
-	for _, nodes := range []int{16, 64, 128} {
-		jobs = append(jobs, job{nodes, false}, job{nodes, true})
-	}
-	// Run 0 is the sequential CG baseline; runs 1.. are the jobs above.
-	type fwRun struct {
-		result machine.Result
-		obs    *runObservation
-	}
-	runs, panics := runner.Map(cfg.parOpts(), len(jobs)+1, func(i int) fwRun {
-		if i == 0 {
-			r := runOne(cfg, npb.CG, npb.Seq, 1, false)
-			return fwRun{result: r.result, obs: r.obs}
-		}
-		j := jobs[i-1]
-		w, err := npb.Build(npb.Options{
-			App:            npb.CG,
-			Variant:        npb.DSM2,
-			Nodes:          j.nodes,
-			DataMapping:    true,
-			Iterations:     cfg.Iterations,
-			Scale:          cfg.Scale,
-			UpdateProtocol: j.update,
-		})
-		if err != nil {
-			panic(err)
-		}
-		m := machine.New(machine.Config{
-			Nodes:      j.nodes,
-			Multicast:  true,
-			UpdateMode: w.UpdateMode,
-			Fault:      cfg.Fault,
-		})
-		col := cfg.observePre(m)
-		r := m.Run(w.Progs)
-		label := fmt.Sprintf("CG/dsm(2) nodes=%d update=%t", j.nodes, j.update)
-		return fwRun{result: r, obs: cfg.observePost(m, col, label)}
-	})
-	rethrow(panics)
-	for _, run := range runs {
-		cfg.Observe.absorb(run.obs)
-	}
+	runs := runJobs(cfg, jobs)
 	seq := runs[0].result.Time
 	var res FutureWorkResult
-	for i := 0; i < len(jobs); i += 2 {
-		nodes := jobs[i].nodes
-		base, upd := runs[1+i].result, runs[2+i].result
+	for i, nodes := range sizes {
+		base, upd := runs[1+2*i].result, runs[2+2*i].result
 		var l3, uw uint64
 		for _, s := range upd.Protocol {
 			l3 += s.L3Hits

@@ -53,7 +53,7 @@ func TestRunJobsPanicPropagates(t *testing.T) {
 			t.Fatalf("panic value %v (%T), want descriptive string", v, v)
 		}
 	}()
-	// npb.Build rejects the seq variant on more than one node, which
-	// makes runOne panic inside the worker.
-	runJobs(Config{Parallel: 4}, []appJob{{app: npb.CG, v: npb.Seq, nodes: 2}})
+	// run.Spec.Validate rejects a node count that is not a power of
+	// two, which makes runOne panic inside the worker.
+	runJobs(Config{Parallel: 4}, []appJob{{app: npb.CG, v: npb.DSM2, nodes: 12}})
 }

@@ -288,7 +288,7 @@ func Presets() []struct {
 
 // ParseSpec parses a plan from its textual form: "none", a preset name
 // (see Presets), or a comma-separated key=value list using the same
-// keys String emits. The result is normalized.
+// keys String emits. The result is normalized and validated.
 func ParseSpec(text string) (Spec, error) {
 	text = strings.TrimSpace(text)
 	if text == "" || text == "none" {

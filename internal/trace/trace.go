@@ -41,6 +41,9 @@ func (c *Collector) Record(ev core.TraceEvent) {
 // Tracer returns the hook to install.
 func (c *Collector) Tracer() core.Tracer { return c.Record }
 
+// Cap returns the number of events the collector retains.
+func (c *Collector) Cap() int { return c.max }
+
 // Len returns the number of retained events.
 func (c *Collector) Len() int { return len(c.events) }
 
