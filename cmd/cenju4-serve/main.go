@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cenju4-serve [-addr :8944] [-workers n] [-queue n] [-batch n]
+//	cenju4-serve [-addr :8944] [-workers n] [-queue n]
 //	             [-cache-bytes n] [-max-nodes n] [-max-events n]
 //	             [-job-timeout d]
 //
@@ -38,9 +38,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8944", "listen address")
-	workers := flag.Int("workers", runtime.NumCPU(), "simulation workers per batch")
+	workers := flag.Int("workers", runtime.NumCPU(), "simulation jobs that run at once")
 	queue := flag.Int("queue", 256, "admission queue depth (beyond it, submissions get 429)")
-	batch := flag.Int("batch", 0, "max jobs per runner batch (0 = 2x workers)")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "result cache bound in bytes")
 	maxNodes := flag.Int("max-nodes", 0, "per-job node ceiling (0 = topology max)")
 	maxEvents := flag.Uint64("max-events", 500_000_000, "per-job simulation event budget (0 = unlimited)")
@@ -51,7 +50,6 @@ func main() {
 	s := serve.New(serve.Config{
 		Workers:    *workers,
 		QueueDepth: *queue,
-		BatchMax:   *batch,
 		JobTimeout: *jobTimeout,
 		CacheBytes: *cacheBytes,
 		Limits:     serve.Limits{MaxNodes: *maxNodes, MaxEvents: *maxEvents},

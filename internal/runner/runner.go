@@ -24,7 +24,6 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -41,23 +40,6 @@ type Options struct {
 	// Label, if non-nil, names run i in panic reports (typically the
 	// config+seed string needed to replay it).
 	Label func(i int) string
-	// Context, if non-nil, lets the caller abandon a sweep: once it is
-	// cancelled, no further run starts (runs already executing finish —
-	// fn itself must watch the context if mid-run abort is needed, as
-	// machine.RunContext does). Skipped runs leave the zero value in the
-	// result slice and never receive an each callback; runs that
-	// completed before the cancellation still receive theirs, in index
-	// order, even when a lower-indexed run was claimed later and
-	// skipped. Callers that pass a cancellable context must check
-	// Context.Err() before trusting the tail of the results. A nil
-	// Context reproduces the original run-everything behaviour for
-	// existing call sites.
-	Context context.Context
-}
-
-// skip reports whether the sweep has been abandoned.
-func (o Options) skip() bool {
-	return o.Context != nil && o.Context.Err() != nil
 }
 
 // Panic describes one captured run panic.
@@ -107,9 +89,6 @@ func MapEach[R any](o Options, n int, fn func(i int) R, each func(i int, r R)) (
 
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if o.skip() {
-				break
-			}
 			runOne(o, i, fn, results, panicked)
 			if each != nil && panicked[i] == nil {
 				each(i, results[i])
@@ -118,27 +97,21 @@ func MapEach[R any](o Options, n int, fn func(i int) R, each func(i int, r R)) (
 		return results, compact(panicked)
 	}
 
-	// Ordered delivery: done marks settled runs (completed or skipped);
-	// cursor is the first index whose callback has not fired. Whichever
-	// worker settles the run at the cursor drains the completed prefix.
-	// A cancelled sweep marks every remaining index done-but-skipped
-	// rather than abandoning it: otherwise the cursor would stall on the
-	// first skipped index and suppress each callbacks for
-	// higher-indexed runs that already completed.
+	// Ordered delivery: done marks finished runs; cursor is the first
+	// index whose callback has not fired. Whichever worker finishes the
+	// run at the cursor drains the completed prefix.
 	var (
 		mu     sync.Mutex
 		done   = make([]bool, n)
-		ranOK  = make([]bool, n)
 		cursor int
 		next   atomic.Int64
 		wg     sync.WaitGroup
 	)
-	deliver := func(i int, ran bool) {
+	deliver := func(i int) {
 		mu.Lock()
 		done[i] = true
-		ranOK[i] = ran
 		for cursor < n && done[cursor] {
-			if each != nil && ranOK[cursor] && panicked[cursor] == nil {
+			if each != nil && panicked[cursor] == nil {
 				each(cursor, results[cursor])
 			}
 			cursor++
@@ -155,12 +128,8 @@ func MapEach[R any](o Options, n int, fn func(i int) R, each func(i int, r R)) (
 				if i >= n {
 					return
 				}
-				if o.skip() {
-					deliver(i, false)
-					continue
-				}
 				runOne(o, i, fn, results, panicked)
-				deliver(i, true)
+				deliver(i)
 			}
 		}()
 	}

@@ -1,11 +1,9 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -143,112 +141,6 @@ func TestMapEmpty(t *testing.T) {
 	res, p := Map(Options{}, 0, func(i int) int { return i })
 	if res != nil || p != nil {
 		t.Fatalf("Map(0) = %v, %v, want nil, nil", res, p)
-	}
-}
-
-// TestMapContextPreCancelled: a cancelled context skips every run.
-func TestMapContextPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	for _, workers := range []int{1, 4} {
-		results, p := Map(Options{Parallel: workers, Context: ctx}, 64, func(i int) int {
-			ran.Add(1)
-			return i + 1
-		})
-		if len(p) != 0 {
-			t.Fatalf("parallel=%d: unexpected panics: %v", workers, p)
-		}
-		if ran.Load() != 0 {
-			t.Fatalf("parallel=%d: %d runs executed under a cancelled context", workers, ran.Load())
-		}
-		for i, r := range results {
-			if r != 0 {
-				t.Fatalf("parallel=%d: skipped run %d has non-zero result %d", workers, i, r)
-			}
-		}
-	}
-}
-
-// TestMapContextCancelMidSweep: cancelling after run 0 (sequentially)
-// skips the remaining runs and fires no callbacks for them.
-func TestMapContextCancelMidSweep(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls []int
-	results, p := MapEach(Options{Parallel: 1, Context: ctx}, 100,
-		func(i int) int {
-			if i == 2 {
-				cancel()
-			}
-			return i + 1
-		},
-		func(i, r int) { calls = append(calls, i) })
-	if len(p) != 0 {
-		t.Fatalf("unexpected panics: %v", p)
-	}
-	if want := []int{0, 1, 2}; len(calls) != len(want) {
-		t.Fatalf("callbacks for %v, want %v", calls, want)
-	}
-	for i := 3; i < 100; i++ {
-		if results[i] != 0 {
-			t.Fatalf("run %d executed after cancellation", i)
-		}
-	}
-	if err := ctx.Err(); err == nil {
-		t.Fatal("context not cancelled — test is vacuous")
-	}
-}
-
-// TestMapNilContextRunsEverything: existing call sites pass no
-// context and must be unaffected.
-func TestMapNilContextRunsEverything(t *testing.T) {
-	results, p := Map(Options{Parallel: 4}, 50, func(i int) int { return i })
-	if len(p) != 0 || len(results) != 50 {
-		t.Fatalf("results=%d panics=%d, want 50/0", len(results), len(p))
-	}
-}
-
-// TestMapEachCancelDeliversCompletedStragglers: regression for the
-// cursor stall on cancellation. Run 0 is slow; runs 1..3 complete
-// before the context is cancelled (from inside run 3); runs 4..5 are
-// claimed after cancellation and skipped. The skipped indices must be
-// marked settled so that when run 0 finally completes, the callbacks
-// for the already-completed runs 1..3 are delivered rather than
-// silently suppressed.
-func TestMapEachCancelDeliversCompletedStragglers(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var calls []int
-
-	results, p := MapEach(Options{Parallel: 2, Context: ctx}, 6,
-		func(i int) int {
-			if i == 0 {
-				<-release // straggler: finishes after the sweep is cancelled
-				return 1
-			}
-			if i == 3 {
-				cancel()
-				close(release)
-			}
-			return i + 1
-		},
-		func(i, r int) {
-			mu.Lock()
-			calls = append(calls, i)
-			mu.Unlock()
-		})
-
-	if len(p) != 0 {
-		t.Fatalf("unexpected panics: %v", p)
-	}
-	if want := "[0 1 2 3]"; fmt.Sprint(calls) != want {
-		t.Fatalf("callbacks %v, want %s (completed prefix including stragglers)", calls, want)
-	}
-	for i := 4; i < 6; i++ {
-		if results[i] != 0 {
-			t.Fatalf("run %d executed after cancellation (result %d)", i, results[i])
-		}
 	}
 }
 

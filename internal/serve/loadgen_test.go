@@ -94,7 +94,7 @@ func TestRunLoadDuration(t *testing.T) {
 // executor, shed responses land in Rejected, not Errors.
 func TestRunLoadRejectionTally(t *testing.T) {
 	st := &stubExec{delay: 20 * time.Millisecond}
-	_, ts := newTestServer(t, Config{Workers: 1, BatchMax: 1, QueueDepth: 1, Exec: st.exec})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Exec: st.exec})
 	rep, err := RunLoad(context.Background(), LoadOptions{
 		BaseURL:  ts.URL,
 		Clients:  8,

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cenju4/internal/metrics"
-	"cenju4/internal/runner"
 )
 
 // Admission and lifecycle errors. The HTTP layer maps ErrQueueFull to
@@ -31,28 +31,25 @@ type Exec func(ctx context.Context, digest string, spec Spec) (*Entry, *metrics.
 
 // PoolConfig configures a Pool.
 type PoolConfig struct {
-	// Workers is the runner.Map parallelism per batch (0 = GOMAXPROCS).
+	// Workers is the number of jobs that run at once (0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the jobs admitted but not yet batched; Submit
+	// QueueDepth bounds the jobs admitted but not yet started; Submit
 	// returns ErrQueueFull beyond it (default 64).
 	QueueDepth int
-	// BatchMax is the most jobs one runner.Map batch executes (default
-	// 2x Workers, minimum 4): large enough to fill the workers, small
-	// enough that a queued job never waits behind an unbounded batch.
-	BatchMax int
 	// JobTimeout is each job's wall-clock budget (0 = none).
 	JobTimeout time.Duration
 	// Exec executes one job (required).
 	Exec Exec
 	// Done, if non-nil, observes every finished job before its waiters
-	// are released, called from the dispatcher goroutine in batch
-	// order — the server uses it to populate the cache and merge
-	// simulation metrics deterministically.
+	// are released. It is called on the worker that ran the job, so
+	// calls for different jobs run concurrently and must synchronize —
+	// the server's populates the cache and merges simulation metrics,
+	// each under its own lock.
 	Done func(j *Job)
 }
 
-// Job is one admitted execution. Waiters block on Wait; the dispatcher
-// fills entry/err and closes done exactly once.
+// Job is one admitted execution. Waiters block on Wait; the worker
+// that takes the job fills entry/err and closes done exactly once.
 type Job struct {
 	Digest string
 	Spec   Spec
@@ -93,13 +90,11 @@ type PoolStats struct {
 	Rejected  uint64 // submissions refused with ErrQueueFull
 	Completed uint64 // jobs finished successfully
 	Failed    uint64 // jobs finished with an error
-	Batches   uint64 // runner.Map batches dispatched
 	Inflight  int    // jobs admitted but not yet finished
 }
 
-// Pool executes jobs by batching them through runner.Map. One
-// dispatcher goroutine pulls admitted jobs, gathers up to BatchMax of
-// them, and fans the batch across the worker pool; duplicate digests
+// Pool executes jobs on Workers long-lived goroutines, each taking
+// one admitted job at a time from the queue; duplicate digests
 // submitted while a job is queued or running coalesce onto the same
 // Job rather than running twice.
 type Pool struct {
@@ -111,20 +106,15 @@ type Pool struct {
 	closed   bool
 	inflight map[string]*Job
 	queue    chan *Job
-	drained  chan struct{} // closed when the dispatcher exits
+	drained  chan struct{} // closed when every worker has exited
 
-	// Shared counters follow the pdessafety discipline for state
-	// touched from runner.Map workers and concurrent submitters: every
-	// access is an atomic.Uint64 Add/Load, never a bare x++ (a
-	// read-modify-write the lint would flag as a racy counter).
-	// submitted/coalesced/rejected are bumped by Submit callers under
-	// mu; completed/failed/batches are bumped from batch completions on
-	// worker goroutines.
+	// Counters are shared by concurrent submitters and workers, so
+	// every access is an atomic.Uint64 Add/Load, never a bare x++.
 	submitted, coalesced, rejected atomic.Uint64
-	completed, failed, batches     atomic.Uint64
+	completed, failed              atomic.Uint64
 }
 
-// NewPool starts a pool's dispatcher.
+// NewPool starts a pool's workers.
 func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Exec == nil {
 		panic("serve: PoolConfig.Exec is required")
@@ -132,11 +122,8 @@ func NewPool(cfg PoolConfig) *Pool {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 2 * cfg.Workers
-		if cfg.BatchMax < 4 {
-			cfg.BatchMax = 4
-		}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
@@ -147,7 +134,20 @@ func NewPool(cfg PoolConfig) *Pool {
 		queue:    make(chan *Job, cfg.QueueDepth),
 		drained:  make(chan struct{}),
 	}
-	go p.dispatch()
+	var wg sync.WaitGroup
+	wg.Add(cfg.Workers)
+	for range cfg.Workers {
+		go func() {
+			defer wg.Done()
+			for j := range p.queue {
+				p.run(j)
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(p.drained)
+	}()
 	return p
 }
 
@@ -217,89 +217,46 @@ func (p *Pool) Stats() PoolStats {
 		Rejected:  p.rejected.Load(),
 		Completed: p.completed.Load(),
 		Failed:    p.failed.Load(),
-		Batches:   p.batches.Load(),
 		Inflight:  inflight,
 	}
 }
 
-// dispatch is the pool's single dispatcher loop: pull one job
-// (blocking), top the batch up without blocking, run the batch, repeat
-// until the queue is closed and empty.
-func (p *Pool) dispatch() {
-	defer close(p.drained)
-	for {
-		j, ok := <-p.queue
-		if !ok {
-			return
-		}
-		batch := []*Job{j}
-	fill:
-		for len(batch) < p.cfg.BatchMax {
-			select {
-			case j2, ok := <-p.queue:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, j2)
-			default:
-				break fill
-			}
-		}
-		p.runBatch(batch)
+// run executes one job and releases its waiters. A job taken after a
+// forced Close fails with ErrShuttingDown without running, and a
+// panicking Exec fails only its own job.
+func (p *Pool) run(j *Job) {
+	if p.ctx.Err() != nil {
+		j.err = ErrShuttingDown
+	} else {
+		j.entry, j.reg, j.err = p.exec(j)
 	}
+	if j.err != nil {
+		p.failed.Add(1)
+	} else {
+		p.completed.Add(1)
+	}
+	if p.cfg.Done != nil {
+		p.cfg.Done(j)
+	}
+	p.mu.Lock()
+	delete(p.inflight, j.Digest)
+	p.mu.Unlock()
+	close(j.done)
 }
 
-// outcome is a worker's return value; finalization happens on the
-// dispatcher after runner.Map so workers never write shared state.
-type outcome struct {
-	entry *Entry
-	reg   *metrics.Registry
-	err   error
-}
-
-func (p *Pool) runBatch(batch []*Job) {
-	p.batches.Add(1)
-	results, panics := runner.Map(runner.Options{
-		Parallel: p.cfg.Workers,
-		Context:  p.ctx,
-		Label:    func(i int) string { return batch[i].Digest },
-	}, len(batch), func(i int) outcome {
-		ctx := p.ctx
-		if p.cfg.JobTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, p.cfg.JobTimeout)
-			defer cancel()
-		}
-		entry, reg, err := p.cfg.Exec(ctx, batch[i].Digest, batch[i].Spec)
-		return outcome{entry: entry, reg: reg, err: err}
-	})
-
-	panicked := make(map[int]*runner.Panic, len(panics))
-	for _, pc := range panics {
-		panicked[pc.Index] = pc
+// exec calls Exec under the job's timeout, turning a panic into the
+// job's error.
+func (p *Pool) exec(j *Job) (entry *Entry, reg *metrics.Registry, err error) {
+	ctx := p.ctx
+	if p.cfg.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.cfg.JobTimeout)
+		defer cancel()
 	}
-	for i, j := range batch {
-		switch {
-		case panicked[i] != nil:
-			j.err = fmt.Errorf("serve: job %s: %w", j.Digest, panicked[i])
-		case results[i].entry == nil && results[i].err == nil:
-			// Skipped by the runner: the pool was force-cancelled before
-			// this job started.
-			j.err = ErrShuttingDown
-		default:
-			j.entry, j.reg, j.err = results[i].entry, results[i].reg, results[i].err
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("serve: job %s panicked: %v", j.Digest, v)
 		}
-		if j.err != nil {
-			p.failed.Add(1)
-		} else {
-			p.completed.Add(1)
-		}
-		if p.cfg.Done != nil {
-			p.cfg.Done(j)
-		}
-		p.mu.Lock()
-		delete(p.inflight, j.Digest)
-		p.mu.Unlock()
-		close(j.done)
-	}
+	}()
+	return p.cfg.Exec(ctx, j.Digest, j.Spec)
 }

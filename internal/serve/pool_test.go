@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,10 +113,10 @@ func TestPoolCoalesces(t *testing.T) {
 // distinctly and immediately, not queued.
 func TestPoolQueueFull(t *testing.T) {
 	st := &stubExec{gate: make(chan struct{})}
-	p := NewPool(PoolConfig{Workers: 1, BatchMax: 4, QueueDepth: 2, Exec: st.exec})
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 2, Exec: st.exec})
 	defer func() { close(st.gate); p.Close(context.Background()) }()
 
-	// One job occupies the dispatcher (blocked on the gate); two more
+	// One job occupies the worker (blocked on the gate); two more
 	// fill the queue; the next must bounce.
 	var admitted int
 	var rejected int
@@ -167,12 +169,17 @@ func TestPoolGracefulClose(t *testing.T) {
 }
 
 // TestPoolForcedClose: when the drain deadline expires, in-flight jobs
-// are cancelled and waiters are released with an error instead of
+// are cancelled, queued jobs fail with ErrShuttingDown without
+// running, and every waiter is released with an error instead of
 // hanging.
 func TestPoolForcedClose(t *testing.T) {
 	st := &stubExec{gate: make(chan struct{})} // never closed: jobs hang
 	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 8, Exec: st.exec})
 	j, _, err := p.Submit("stuck", Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, _, err := p.Submit("queued", Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +190,105 @@ func TestPoolForcedClose(t *testing.T) {
 	}
 	if _, err := j.Wait(context.Background()); err == nil {
 		t.Fatal("force-cancelled job completed without error")
+	}
+	if _, err := queued.Wait(context.Background()); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("queued job err = %v, want ErrShuttingDown", err)
+	}
+	if st.runs.Load() != 1 {
+		t.Fatalf("exec ran %d times, want 1 (the queued job must not run)", st.runs.Load())
+	}
+}
+
+// waitWithin waits for j, failing the test if it does not finish
+// within d.
+func waitWithin(t *testing.T, j *Job, d time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	if _, err := j.Wait(ctx); err != nil {
+		t.Fatalf("job %s: %v", j.Digest, err)
+	}
+}
+
+// TestPoolNoHeadOfLine: a blocked job holds only its own worker. A job
+// submitted with it, and one submitted later, both run on the idle
+// worker and finish while the blocked job is still running.
+func TestPoolNoHeadOfLine(t *testing.T) {
+	gate := make(chan struct{})
+	exec := func(ctx context.Context, dig string, spec Spec) (*Entry, *metrics.Registry, error) {
+		if dig == "slow" {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, nil, ctx.Err()
+			}
+		}
+		return &Entry{Digest: dig}, nil, nil
+	}
+	p := NewPool(PoolConfig{Workers: 2, QueueDepth: 8, Exec: exec})
+	defer p.Close(context.Background())
+	defer close(gate)
+
+	slow, _, err := p.Submit("slow", Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, _, err := p.Submit("fast", Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitWithin(t, fast, 500*time.Millisecond)
+	later, _, err := p.Submit("later", Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitWithin(t, later, 500*time.Millisecond)
+	if slow.Err() != nil || !p.Running("slow") {
+		t.Fatalf("slow job finished early (err %v)", slow.Err())
+	}
+}
+
+// TestPoolExecPanic: a panicking Exec fails only its own job, with an
+// error naming the digest; the worker survives to run later jobs, and
+// the HTTP layer answers the panicking spec with a 500.
+func TestPoolExecPanic(t *testing.T) {
+	st := &stubExec{}
+	exec := func(ctx context.Context, dig string, spec Spec) (*Entry, *metrics.Registry, error) {
+		if dig == "boom" || spec.Seed == 7 {
+			panic("exec exploded")
+		}
+		return st.exec(ctx, dig, spec)
+	}
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 8, Exec: exec})
+	defer p.Close(context.Background())
+	j, _, err := p.Submit("boom", Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err == nil ||
+		!strings.Contains(err.Error(), "serve: job boom") || !strings.Contains(err.Error(), "exec exploded") {
+		t.Fatalf("panicking job err = %v, want one naming the digest and the panic", err)
+	}
+	ok, _, err := p.Submit("ok", Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := ok.Wait(context.Background()); err != nil || string(e.Body) != "body:ok\n" {
+		t.Fatalf("job after a panic = (%v, %v)", e, err)
+	}
+	if s := p.Stats(); s.Failed != 1 || s.Completed != 1 {
+		t.Fatalf("stats failed=%d completed=%d, want 1/1", s.Failed, s.Completed)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Exec: exec})
+	resp := postSpec(t, ts, `{"app":"cg","variant":"dsm2","seed":7}`)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(string(body), "exec exploded") {
+		t.Fatalf("panicking spec: status %d body %s, want 500", resp.StatusCode, body)
+	}
+	resp = postSpec(t, ts, `{"app":"cg","variant":"dsm2","seed":8}`)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("spec after a panic: status %d body %s, want 200", resp.StatusCode, body)
 	}
 }
 

@@ -50,10 +50,9 @@ const maxSpecBytes = 1 << 16
 
 // Config parameterizes a Server.
 type Config struct {
-	// Workers, QueueDepth, BatchMax, JobTimeout forward to PoolConfig.
+	// Workers, QueueDepth, JobTimeout forward to PoolConfig.
 	Workers    int
 	QueueDepth int
-	BatchMax   int
 	JobTimeout time.Duration
 	// CacheBytes bounds the result cache (default 64 MiB).
 	CacheBytes int64
@@ -63,7 +62,7 @@ type Config struct {
 	Exec Exec
 }
 
-// Server is the experiment service: digest → cache → pool → runner,
+// Server is the experiment service: digest → cache → pool → run,
 // fronted by an HTTP mux. Create with New, serve Handler, stop with
 // Close.
 type Server struct {
@@ -74,7 +73,8 @@ type Server struct {
 	closed atomic.Bool
 
 	// sim accumulates every finished run's simulation registry, merged
-	// on the dispatcher goroutine in batch order.
+	// under simMu from whichever worker finished the run; Merge
+	// commutes, so the result does not depend on completion order.
 	simMu sync.Mutex
 	sim   *metrics.Registry
 
@@ -103,7 +103,6 @@ func New(cfg Config) *Server {
 	s.pool = NewPool(PoolConfig{
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
-		BatchMax:   cfg.BatchMax,
 		JobTimeout: cfg.JobTimeout,
 		Exec:       exec,
 		Done:       s.jobDone,
@@ -111,9 +110,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// jobDone runs on the dispatcher for every finished job, in batch
-// order: populate the cache and fold the run's simulation metrics into
-// the server-lifetime registry.
+// jobDone runs on the pool worker for every finished job, concurrently
+// with other jobs' calls: populate the cache and fold the run's
+// simulation metrics into the server-lifetime registry.
 func (s *Server) jobDone(j *Job) {
 	if j.err != nil {
 		return
@@ -289,7 +288,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.Counter("serve/pool/rejected").Add(ps.Rejected)
 	reg.Counter("serve/pool/completed").Add(ps.Completed)
 	reg.Counter("serve/pool/failed").Add(ps.Failed)
-	reg.Counter("serve/pool/batches").Add(ps.Batches)
 	reg.Gauge("serve/pool/inflight").Peak(int64(ps.Inflight))
 	reg.Counter("serve/http/requests").Add(s.requests.Load())
 	s.simMu.Lock()

@@ -217,7 +217,7 @@ func TestCoalescing(t *testing.T) {
 // distinct 429 with Retry-After, and the server keeps serving.
 func TestQueueFullRejection(t *testing.T) {
 	st := &stubExec{gate: make(chan struct{})}
-	_, ts := newTestServer(t, Config{Workers: 1, BatchMax: 1, QueueDepth: 1, Exec: st.exec})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Exec: st.exec})
 
 	// Distinct specs so nothing coalesces: the first occupies the
 	// worker, the second sits in the queue, later ones must shed.

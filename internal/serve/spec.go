@@ -1,8 +1,8 @@
 // Package serve turns the deterministic simulator into a long-running
 // experiment service: an HTTP/JSON job API over a content-addressed
-// result cache and a batching execution pool.
+// result cache and an execution pool.
 //
-// The layering is run → digest → cache → pool → runner:
+// The layering is run → digest → cache → pool:
 //
 //   - a Spec (internal/run) canonically names one experiment (machine
 //     configuration + workload selector + seed), hashes to a stable
@@ -13,12 +13,13 @@
 //     is a perfect cache key: the bounded LRU Cache maps digests to
 //     rendered result payloads, so a repeated spec costs a map lookup
 //     instead of a simulation;
-//   - the Pool batches cache misses through runner.Map with admission
-//     control (bounded queue, queue-full rejection), per-job limits
-//     (node ceiling, event budget, wall-clock timeout threaded into
-//     the sim loop via machine.RunContext), duplicate-submission
-//     coalescing (concurrent identical specs share one run), and
-//     graceful draining shutdown;
+//   - the Pool runs each cache miss on one of a fixed set of worker
+//     goroutines, one job at a time per worker, with admission control
+//     (bounded queue, queue-full rejection), per-job limits (node
+//     ceiling, event budget, wall-clock timeout threaded into the sim
+//     loop via machine.RunContext), duplicate-submission coalescing
+//     (concurrent identical specs share one run), and graceful
+//     draining shutdown;
 //   - the Server exposes it all as HTTP: POST /v1/jobs, GET
 //     /v1/jobs/{digest}, GET /v1/jobs/{digest}/trace, GET /v1/metrics,
 //     GET /healthz.
@@ -27,7 +28,7 @@
 // wall-clock-legitimate: request latencies, timeouts and eviction
 // order are service concerns, not simulation outcomes. Determinism is
 // preserved where it matters — the cached payload bytes for a digest
-// are identical no matter which worker, batch or process produced
+// are identical no matter which worker or process produced
 // them, and cenju4-load asserts that contract under load.
 package serve
 
