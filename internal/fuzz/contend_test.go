@@ -1,18 +1,23 @@
 package fuzz
 
-// Full-machine contention shapes: the hotspot and migratory streams at
-// 1024 nodes on a multicast machine, the traffic where the queuing
-// protocol serializes every request for a hot block through the home
-// FIFO. Their schedule opens with a dense burst near t=0 and settles
-// into a steady state whose events are about 100x further apart, which
-// is the shape the event kernel's calendar queue must re-derive its
-// bucket width for.
+// Full-machine shapes at 1024 nodes on a multicast machine.
 //
-//   - TestContendGoldenDigests pins both runs' machine.Digest, so a
-//     kernel or protocol change that perturbs their outcome fails here
-//     rather than only in an end-to-end benchmark.
-//   - BenchmarkHotspot1024 measures the hotspot run's events/s; its
-//     floor lives in BENCH_scale.json.
+//   - Contention: the hotspot and migratory streams, the traffic where
+//     the queuing protocol serializes every request for a hot block
+//     through the home FIFO. Their schedule opens with a dense burst
+//     near t=0 and settles into a steady state whose events are about
+//     100x further apart, which is the shape the event kernel's
+//     calendar queue must re-derive its bucket width for.
+//   - Sharing: the producer-consumer and partition streams, whose wide
+//     read-sharing drives bit-pattern directory entries, 1023-way
+//     multicast invalidations and in-network gathering through every
+//     routing decision the switches make.
+//
+// TestContendGoldenDigests pins all four runs' machine.Digest, so a
+// kernel, routing or protocol change that perturbs their outcome fails
+// here rather than only in an end-to-end benchmark.
+// BenchmarkHotspot1024 and BenchmarkShare1024 measure events/s; their
+// floors live in BENCH_scale.json.
 //
 // The goldens live here rather than beside machine's own scale goldens
 // because machine's tests cannot import this package's generators.
@@ -38,15 +43,16 @@ const (
 	contendOps   = 128 * contendNodes // 128 operations per node
 	contendSeed  = 1
 	// contendBudget is the RunContext event ceiling: headroom over the
-	// 0.7M (hotspot) and 1.1M (migratory) events the runs take, tight
-	// enough that an event storm fails fast instead of hanging the suite.
+	// 0.7M (hotspot), 1.1M (migratory), 1.2M (producer-consumer) and
+	// 0.8M (partition) events the runs take, tight enough that an event
+	// storm fails fast instead of hanging the suite.
 	contendBudget = 8_000_000
 	// hotspotScanBound caps the hotspot run's mean calendar-queue
 	// buckets scanned per dequeue (measured: 1.5).
 	hotspotScanBound = 4
 )
 
-// runContend runs one contention pattern on a fresh 1024-node multicast
+// runContend runs one pattern on a fresh 1024-node multicast
 // machine and returns the machine (for its engine's queue statistics)
 // and the result.
 func runContend(tb testing.TB, p Pattern, streams [][]cpu.Op) (*machine.Machine, machine.Result) {
@@ -69,11 +75,11 @@ func TestContendGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-node runs are a second each; skipped under -short")
 	}
-	patterns := []Pattern{PatternHotspot, PatternMigratory}
+	patterns := []Pattern{PatternHotspot, PatternMigratory, PatternProducerConsumer, PatternPartition}
 	path := filepath.Join("testdata", "golden_contend.txt")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		var b strings.Builder
-		b.WriteString("# machine.Result digests for the 1024-node contention patterns (seed 1, 128 ops per node, multicast).\n")
+		b.WriteString("# machine.Result digests for the 1024-node contention and sharing patterns (seed 1, 128 ops per node, multicast).\n")
 		b.WriteString("# Regenerate: UPDATE_GOLDEN=1 go test ./internal/fuzz -run TestContendGoldenDigests\n")
 		for _, p := range patterns {
 			_, r := runContend(t, p, Generate(p, contendSeed, contendNodes, contendOps))
@@ -149,6 +155,23 @@ func BenchmarkHotspot1024(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		_, r := runContend(b, PatternHotspot, streams)
+		events += r.Events
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkShare1024 is the producer-consumer run end to end, shaped
+// like BenchmarkHotspot1024: every rotating producer's store fans out a
+// multicast invalidation to the block's sharers and gathers their
+// acknowledgements in the network, so its events/s follows the cost of
+// the switches' routing decisions.
+func BenchmarkShare1024(b *testing.B) {
+	streams := Generate(PatternProducerConsumer, contendSeed, contendNodes, contendOps)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		_, r := runContend(b, PatternProducerConsumer, streams)
 		events += r.Events
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
