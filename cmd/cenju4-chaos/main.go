@@ -31,57 +31,97 @@ import (
 	"cenju4/internal/topology"
 )
 
+// flags holds the command-line values that chaosOptions validates.
+type flags struct {
+	seed          uint64
+	ops           int
+	nodes         int
+	rounds        int
+	pattern       string
+	mode          string
+	stages        int
+	plan          string
+	expect        string
+	budget        uint64
+	checkParallel bool
+	parallel      int
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cenju4-chaos: ")
-	seed := flag.Uint64("seed", 1, "run seed; per-case seeds derive from it")
-	ops := flag.Int("ops", 400, "access budget per case")
-	nodes := flag.Int("nodes", 8, "node count (power of two, <= 1024)")
-	rounds := flag.Int("rounds", 2, "quiescent validation rounds per case")
-	pattern := flag.String("pattern", "", "traffic pattern (default: hotspot+migratory; 'all' for every generator)")
-	mode := flag.String("mode", "all", "protocol mode: queuing, nack, all")
-	stages := flag.Int("stages", 4, "network stage count")
-	plan := flag.String("plan", "", "fault plan: preset name or k=v spec (default: the full preset grid)")
-	expect := flag.String("expect", "auto", "expected outcome for -plan: auto, recover, watchdog")
-	budget := flag.Uint64("budget", fuzz.DefaultChaosBudget, "per-case event budget (bounds nack-mode livelocks)")
-	checkParallel := flag.Bool("check-parallel", false, "re-run recoverable plans at -parallel 1 and compare digests")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent cases (report is byte-identical at every setting)")
+	var f flags
+	flag.Uint64Var(&f.seed, "seed", 1, "run seed; per-case seeds derive from it")
+	flag.IntVar(&f.ops, "ops", 400, "access budget per case")
+	flag.IntVar(&f.nodes, "nodes", 8, "node count (power of two, <= 1024)")
+	flag.IntVar(&f.rounds, "rounds", 2, "quiescent validation rounds per case")
+	flag.StringVar(&f.pattern, "pattern", "", "traffic pattern (default: hotspot+migratory; 'all' for every generator)")
+	flag.StringVar(&f.mode, "mode", "all", "protocol mode: queuing, nack, all")
+	flag.IntVar(&f.stages, "stages", 4, "network stage count")
+	flag.StringVar(&f.plan, "plan", "", "fault plan: preset name or k=v spec (default: the full preset grid)")
+	flag.StringVar(&f.expect, "expect", "auto", "expected outcome for -plan: auto, recover, watchdog")
+	flag.Uint64Var(&f.budget, "budget", fuzz.DefaultChaosBudget, "per-case event budget (bounds nack-mode livelocks)")
+	flag.BoolVar(&f.checkParallel, "check-parallel", false, "re-run recoverable plans at -parallel 1 and compare digests")
+	flag.IntVar(&f.parallel, "parallel", runtime.NumCPU(), "concurrent cases (report is byte-identical at every setting)")
 	flag.Parse()
 
-	if !topology.ValidNodeCount(*nodes) {
-		log.Fatalf("-nodes: %d is not a power of two <= %d", *nodes, topology.MaxNodes)
+	o, err := chaosOptions(f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep := fuzz.RunChaos(o)
+	fmt.Print(rep.String())
+	if rep.Failed() {
+		os.Exit(1)
+	}
+}
+
+// chaosOptions validates the flag values and builds the run's options.
+// A bad value is an error that names its flag, returned before any case
+// runs.
+func chaosOptions(f flags) (fuzz.ChaosOptions, error) {
+	if !topology.ValidNodeCount(f.nodes) {
+		return fuzz.ChaosOptions{}, fmt.Errorf("-nodes: %d is not a power of two <= %d", f.nodes, topology.MaxNodes)
+	}
+	if !topology.ValidStages(f.nodes, f.stages) {
+		return fuzz.ChaosOptions{}, fmt.Errorf("-stages: %d stages cannot connect %d nodes (want 1..%d with 4^stages >= nodes)",
+			f.stages, f.nodes, topology.StagesForNodes(topology.MaxNodes))
 	}
 	o := fuzz.ChaosOptions{
 		Fuzz: fuzz.Options{
-			Seed:      *seed,
-			Nodes:     *nodes,
-			Ops:       *ops,
-			Rounds:    *rounds,
-			MaxEvents: *budget,
-			Parallel:  *parallel,
+			Seed:      f.seed,
+			Nodes:     f.nodes,
+			Ops:       f.ops,
+			Rounds:    f.rounds,
+			MaxEvents: f.budget,
+			Parallel:  f.parallel,
 			Patterns:  []fuzz.Pattern{fuzz.PatternHotspot, fuzz.PatternMigratory},
 		},
-		CheckParallel: *checkParallel,
+		CheckParallel: f.checkParallel,
 	}
-	if *pattern == "all" {
+	if f.pattern == "all" {
 		o.Fuzz.Patterns = fuzz.AllPatterns()
-	} else if *pattern != "" {
-		p, err := fuzz.ParsePattern(*pattern)
+	} else if f.pattern != "" {
+		p, err := fuzz.ParsePattern(f.pattern)
 		if err != nil {
-			log.Fatal(err)
+			return fuzz.ChaosOptions{}, fmt.Errorf("-pattern: %w", err)
 		}
 		o.Fuzz.Patterns = []fuzz.Pattern{p}
 	}
-	for _, m := range modes(*mode) {
-		o.Fuzz.Cells = append(o.Fuzz.Cells, fuzz.Cell{Mode: m, Multicast: true, Stages: *stages})
+	ms, err := modes(f.mode)
+	if err != nil {
+		return fuzz.ChaosOptions{}, err
 	}
-	if *plan != "" {
-		spec, err := faults.ParseSpec(*plan)
+	for _, m := range ms {
+		o.Fuzz.Cells = append(o.Fuzz.Cells, fuzz.Cell{Mode: m, Multicast: true, Stages: f.stages})
+	}
+	if f.plan != "" {
+		spec, err := faults.ParseSpec(f.plan)
 		if err != nil {
-			log.Fatal(err)
+			return fuzz.ChaosOptions{}, fmt.Errorf("-plan: %w", err)
 		}
-		p := fuzz.Plan{Name: *plan, Spec: spec}
-		switch *expect {
+		p := fuzz.Plan{Name: f.plan, Spec: spec}
+		switch f.expect {
 		case "recover":
 			p.ExpectRecover = true
 		case "watchdog":
@@ -91,27 +131,21 @@ func main() {
 			// confined there are repairable, anything wider is not.
 			p.ExpectRecover = spec.Scope == faults.ScopeRequestReply
 		default:
-			log.Fatalf("-expect: %q is not auto, recover, or watchdog", *expect)
+			return fuzz.ChaosOptions{}, fmt.Errorf("-expect: %q is not auto, recover, or watchdog", f.expect)
 		}
 		o.Plans = []fuzz.Plan{p}
 	}
-
-	rep := fuzz.RunChaos(o)
-	fmt.Print(rep.String())
-	if rep.Failed() {
-		os.Exit(1)
-	}
+	return o, nil
 }
 
-func modes(s string) []core.Mode {
+func modes(s string) ([]core.Mode, error) {
 	switch s {
 	case "queuing":
-		return []core.Mode{core.ModeQueuing}
+		return []core.Mode{core.ModeQueuing}, nil
 	case "nack":
-		return []core.Mode{core.ModeNack}
+		return []core.Mode{core.ModeNack}, nil
 	case "all":
-		return []core.Mode{core.ModeQueuing, core.ModeNack}
+		return []core.Mode{core.ModeQueuing, core.ModeNack}, nil
 	}
-	log.Fatalf("-mode: %q is not queuing, nack, or all", s)
-	return nil
+	return nil, fmt.Errorf("-mode: %q is not queuing, nack, or all", s)
 }

@@ -95,8 +95,9 @@ func main() {
 		log.Fatalf("-nodes: %d is not a power of two <= %d", *nodes, topology.MaxNodes)
 	}
 	for _, c := range opts.Cells {
-		if c.Stages < 1 || 2*c.Stages > 32 || 1<<(2*c.Stages) < *nodes {
-			log.Fatalf("-stages: %d stages cannot address %d nodes", c.Stages, *nodes)
+		if !topology.ValidStages(*nodes, c.Stages) {
+			log.Fatalf("-stages: %d stages cannot connect %d nodes (want 1..%d with 4^stages >= nodes)",
+				c.Stages, *nodes, topology.StagesForNodes(topology.MaxNodes))
 		}
 	}
 

@@ -34,6 +34,83 @@ func TestAnyMatchAgainstReference(t *testing.T) {
 			t.Fatalf("AnyMatch(%#x,%#x) on %v = %v, want %v", mask, value, bp, got, want)
 		}
 	}
+	// Wide sharing: 9 to 1024 sharers, up to and including patterns
+	// that decode to the whole node space.
+	for trial := 0; trial < 500; trial++ {
+		var bp BitPattern
+		k := 9 + rng.Intn(1024-9+1)
+		for i := 0; i < k; i++ {
+			bp.Add(topology.NodeID(rng.Intn(1024)))
+		}
+		d := Dest{Pattern: bp, IsPattern: true}
+		for q := 0; q < 8; q++ {
+			mask := uint32(rng.Intn(1 << 12))
+			value := uint32(rng.Intn(1<<12)) & mask
+			if got, want := d.AnyMatch(mask, value), refAnyMatch(d, mask, value); got != want {
+				t.Fatalf("AnyMatch(%#x,%#x) on %v (%d sharers) = %v, want %v", mask, value, bp, k, got, want)
+			}
+		}
+	}
+	// The saturated pattern, near-saturated ones (one field one bit
+	// short) and raw patterns with an empty field, each over every mask
+	// and value of 12 bits.
+	full := BitPattern(1<<BitPatternBits - 1)
+	for _, bp := range []BitPattern{
+		full,
+		full &^ (1 << f1Shift),
+		full &^ (1 << (f3Shift + 1)),
+		full &^ (1 << (f4Shift + 31)),
+		full &^ f1Mask,
+		full &^ f3Mask,
+		full &^ f4Mask,
+		EncodeNode(0) | EncodeNode(1023),
+	} {
+		checkAllQueries(t, bp)
+	}
+}
+
+// checkAllQueries compares bp.AnyMatch with the decoded member set for
+// every 12-bit mask and value, including values that set bits the mask
+// leaves free or bits above the node width.
+func checkAllQueries(t *testing.T, bp BitPattern) {
+	t.Helper()
+	members := bp.Members(nil, topology.MaxNodes)
+	var reach [1 << 12]bool
+	for mask := uint32(0); mask < 1<<12; mask++ {
+		reach = [1 << 12]bool{}
+		for _, n := range members {
+			reach[uint32(n)&mask] = true
+		}
+		for value := uint32(0); value < 1<<12; value++ {
+			if got := bp.AnyMatch(mask, value); got != reach[value] {
+				t.Fatalf("AnyMatch(%#x,%#x) on %v = %v, want %v", mask, value, bp, got, reach[value])
+			}
+		}
+	}
+}
+
+// TestMatchSetAgainstScan compares MatchSet with a scan of the 1024
+// nodes for every 12-bit mask and value: a satisfiable constraint gives
+// exactly the OR of its nodes' encodings, an unsatisfiable one a
+// pattern that represents no node.
+func TestMatchSetAgainstScan(t *testing.T) {
+	var want [1 << 12]BitPattern
+	for mask := uint32(0); mask < 1<<12; mask++ {
+		want = [1 << 12]BitPattern{}
+		for n := uint32(0); n < topology.MaxNodes; n++ {
+			want[n&mask] |= EncodeNode(topology.NodeID(n))
+		}
+		for value := uint32(0); value < 1<<12; value++ {
+			got := MatchSet(mask, value)
+			if want[value] == 0 {
+				if got.Count() != 0 {
+					t.Fatalf("MatchSet(%#x,%#x) = %v, want a pattern of no node", mask, value, got)
+				}
+			} else if got != want[value] {
+				t.Fatalf("MatchSet(%#x,%#x) = %v, want %v", mask, value, got, want[value])
+			}
+		}
+	}
 }
 
 func TestAnyMatchPointerDest(t *testing.T) {

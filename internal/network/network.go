@@ -11,12 +11,15 @@
 // radix-4 digit k of the source address with digit k of the destination,
 // so a message from s to d at stage k sits in the switch whose
 // coordinates are d[0..k-1] ++ s[k+1..S-1] and leaves on output port
-// d[k]. Every src-dst pair crosses exactly S switches.
+// d[k]. Every src-dst pair crosses exactly S switches. The coordinates
+// are computed in closed form, one shift-and-mask per hop, not digit by
+// digit.
 //
 // Multicast. An invalidation carries the directory's own destination
 // structure (pointer list or bit-pattern). At each stage the switch
 // computes which output ports lead to at least one destination — a
-// partial-match query on the structure (directory.Dest.AnyMatch), the
+// partial-match query on the structure (directory.Dest.AnyMatch, a
+// constant number of table lookups for a bit-pattern), the
 // "calculation in the switch" of the paper — and replicates the message
 // into the corresponding crosspoint buffers, one replication slot per
 // extra copy.
@@ -267,11 +270,8 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if !topology.ValidNodeCount(cfg.Nodes) {
 		panic(fmt.Sprintf("network: invalid node count %d", cfg.Nodes))
 	}
-	if cfg.Stages < 1 || 2*cfg.Stages > 32 {
-		panic(fmt.Sprintf("network: invalid stage count %d", cfg.Stages))
-	}
-	if 1<<(2*cfg.Stages) < cfg.Nodes {
-		panic(fmt.Sprintf("network: %d stages cannot address %d nodes", cfg.Stages, cfg.Nodes))
+	if !topology.ValidStages(cfg.Nodes, cfg.Stages) {
+		panic(fmt.Sprintf("network: %d stages cannot connect %d nodes", cfg.Stages, cfg.Nodes))
 	}
 	perStage := 1 << (2 * (cfg.Stages - 1))
 	n := &Network{
@@ -317,15 +317,11 @@ func (n *Network) digit(x int, k int) int {
 }
 
 // switchFor returns the switch at stage k on the path from src to dst:
-// coordinates dst[0..k-1] ++ src[k+1..S-1].
+// coordinates dst[0..k-1] ++ src[k+1..S-1], i.e. the top k digits of
+// dst above the low lb = 2(S-1-k) bits of src.
 func (n *Network) switchFor(k, src, dst int) *switchState {
-	idx := 0
-	for j := 0; j < k; j++ {
-		idx = idx<<2 | n.digit(dst, j)
-	}
-	for j := k + 1; j < n.stages; j++ {
-		idx = idx<<2 | n.digit(src, j)
-	}
+	lb := 2 * (n.stages - 1 - k)
+	idx := dst>>(lb+2)<<lb | src&(1<<lb-1)
 	return &n.switches[k*n.perStage+idx]
 }
 
@@ -357,7 +353,7 @@ func (n *Network) stall(t sim.Time) sim.Time {
 }
 
 func (n *Network) hopSer(data bool) (hop, ser sim.Time) {
-	p := n.cfg.Params
+	p := &n.cfg.Params
 	if data {
 		return p.SwitchHopData, p.SerializeData
 	}
@@ -367,7 +363,7 @@ func (n *Network) hopSer(data bool) (hop, ser sim.Time) {
 // walkUnicast reserves the path src->dst starting at time t and returns
 // the arrival time at the destination node.
 func (n *Network) walkUnicast(src, dst int, t sim.Time, data bool) sim.Time {
-	p := n.cfg.Params
+	p := &n.cfg.Params
 	hop, ser := n.hopSer(data)
 	t = n.claim(&n.inject[src], t, ser) + p.NetFixed/2
 	n.injectBusy += ser
@@ -484,31 +480,18 @@ func (n *Network) Send(m *msg.Message) {
 }
 
 // destHasPrefix reports whether any destination's address (stage-width)
-// begins with the given digit prefix.
+// begins with the given digit prefix. A prefix that sets address bits
+// above the node width matches no node.
 func (n *Network) destHasPrefix(d directory.Dest, prefix, digits int) bool {
-	totalBits := 2 * n.stages
-	shift := totalBits - 2*digits
-	mask := uint32(1)<<(2*digits) - 1
-	value := uint32(prefix)
-	if shift >= 32 {
-		return false
-	}
-	mask <<= shift
-	value <<= shift
-	if value>>topology.NodeBits != 0 {
-		return false // prefix requires address bits above the node width
-	}
-	// Bits of the mask above the node width are satisfied by every real
-	// node (their address bits there are zero), so clip the mask.
-	mask &= 1<<topology.NodeBits - 1
-	return d.AnyMatch(mask, value)
+	shift := 2 * (n.stages - digits)
+	return d.AnyMatch((1<<(2*digits)-1)<<shift, uint32(prefix)<<shift)
 }
 
 // walkMulticast replicates m down the switch tree. At stage k a copy
 // identified by its chosen digit prefix fans out to every port whose
 // extended prefix still covers a destination.
 func (n *Network) walkMulticast(m *msg.Message, t sim.Time) {
-	p := n.cfg.Params
+	p := &n.cfg.Params
 	_, ser := n.hopSer(m.HasData)
 	start := n.claim(&n.inject[int(m.Src)], t, ser)
 	n.injectBusy += ser
@@ -516,7 +499,7 @@ func (n *Network) walkMulticast(m *msg.Message, t sim.Time) {
 }
 
 func (n *Network) mcStep(m *msg.Message, k, prefix int, t sim.Time) {
-	p := n.cfg.Params
+	p := &n.cfg.Params
 	if k == n.stages {
 		node := topology.NodeID(prefix)
 		if int(node) >= n.cfg.Nodes {
@@ -553,11 +536,8 @@ func (n *Network) mcStep(m *msg.Message, k, prefix int, t sim.Time) {
 // mcSwitch returns the switch a multicast copy occupies at stage k:
 // coordinates prefix ++ src[k+1..S-1].
 func (n *Network) mcSwitch(m *msg.Message, k, prefix int) *switchState {
-	src := int(m.Src)
-	idx := prefix
-	for j := k + 1; j < n.stages; j++ {
-		idx = idx<<2 | n.digit(src, j)
-	}
+	lb := 2 * (n.stages - 1 - k)
+	idx := prefix<<lb | int(m.Src)&(1<<lb-1)
 	return &n.switches[k*n.perStage+idx]
 }
 
@@ -606,16 +586,9 @@ func (n *Network) waitPattern(spec directory.Dest, src, k int) uint8 {
 	w := 2 * (n.stages - k) // bits covering digits k..S-1
 	suffixBits := uint32(src) & (1<<(w-2) - 1)
 	var mask uint32 = 1<<w - 1
-	if w > topology.NodeBits {
-		mask = 1<<topology.NodeBits - 1
-	}
 	var pat uint8
 	for p := 0; p < topology.SwitchRadix; p++ {
-		value := uint32(p)<<(w-2) | suffixBits
-		if value>>topology.NodeBits != 0 {
-			continue
-		}
-		if spec.AnyMatch(mask, value) {
+		if spec.AnyMatch(mask, uint32(p)<<(w-2)|suffixBits) {
 			pat |= 1 << p
 		}
 	}
@@ -625,7 +598,7 @@ func (n *Network) waitPattern(spec directory.Dest, src, k int) uint8 {
 // walkGather advances one gather contribution from m.Src toward the
 // home, merging with sibling contributions at every stage.
 func (n *Network) walkGather(m *msg.Message, t sim.Time) {
-	p := n.cfg.Params
+	p := &n.cfg.Params
 	hop, ser := n.hopSer(m.HasData)
 	g := m.Gather
 	if g.Merged == 0 {

@@ -397,6 +397,8 @@ func TestPanicsOnBadConfig(t *testing.T) {
 	eng := sim.NewEngine()
 	mustPanic("bad node count", func() { New(eng, Config{Nodes: 100}) })
 	mustPanic("too few stages", func() { New(eng, Config{Nodes: 1024, Stages: 2}) })
+	mustPanic("too many stages", func() { New(eng, Config{Nodes: 16, Stages: 7}) })
+	mustPanic("negative stages", func() { New(eng, Config{Nodes: 16, Stages: -1}) })
 	mustPanic("no handler", func() {
 		n := New(eng, Config{Nodes: 16, Multicast: true})
 		n.Send(singlecast(0, 1, false))

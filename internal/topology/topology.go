@@ -131,6 +131,13 @@ func ValidNodeCount(n int) bool {
 	return n&(n-1) == 0
 }
 
+// ValidStages reports whether a network of the given stage count can
+// connect a machine of nodes nodes: between 1 and the stage count of the
+// largest machine, with 4^stages >= nodes addresses to route to.
+func ValidStages(nodes, stages int) bool {
+	return stages >= 1 && stages <= StagesForNodes(MaxNodes) && 1<<(2*stages) >= nodes
+}
+
 // Log2 returns floor(log2(n)) for n >= 1.
 func Log2(n int) int {
 	l := 0

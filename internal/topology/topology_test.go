@@ -96,6 +96,27 @@ func TestStagesForNodesPanics(t *testing.T) {
 	}
 }
 
+func TestValidStages(t *testing.T) {
+	cases := []struct {
+		nodes, stages int
+		want          bool
+	}{
+		{4, 1, true}, {8, 1, false}, {16, 2, true}, {32, 2, false},
+		{16, 6, true}, {1024, 5, true}, {1024, 6, true},
+		{16, 0, false}, {16, -1, false}, {16, 7, false}, {16, 14, false},
+	}
+	for _, c := range cases {
+		if got := ValidStages(c.nodes, c.stages); got != c.want {
+			t.Errorf("ValidStages(%d, %d) = %v, want %v", c.nodes, c.stages, got, c.want)
+		}
+	}
+	for _, n := range []int{1, 16, 128, 1024} {
+		if !ValidStages(n, StagesForNodes(n)) {
+			t.Errorf("the paper's %d stages rejected for %d nodes", StagesForNodes(n), n)
+		}
+	}
+}
+
 func TestValidNodeCount(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
 		if !ValidNodeCount(n) {
