@@ -2,6 +2,8 @@ package cenju4
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,14 +120,16 @@ func TestRunNPBBadInputErrors(t *testing.T) {
 		name     string
 		opts     WorkloadOptions
 		deadlock bool
+		want     string // substring the error must carry, if set
 	}{
-		{"non-power-of-two nodes", WorkloadOptions{Nodes: 12}, false},
-		{"too many nodes", WorkloadOptions{Nodes: 2048}, false},
-		{"negative scale", WorkloadOptions{Scale: -1}, false},
-		{"negative iterations", WorkloadOptions{Iterations: -3}, false},
+		{"non-power-of-two nodes", WorkloadOptions{Nodes: 12}, false, ""},
+		{"too many nodes", WorkloadOptions{Nodes: 2048}, false, ""},
+		{"negative scale", WorkloadOptions{Scale: -1}, false, ""},
+		{"NaN scale", WorkloadOptions{Scale: math.NaN()}, false, "scale NaN out of range"},
+		{"negative iterations", WorkloadOptions{Iterations: -3}, false, ""},
 		{"unrecoverable fault", WorkloadOptions{Nodes: 8, DataMapping: &noMap, Scale: 0.02, Iterations: 1,
-			Fault: "drop=1,scope=forwards,timeout=20000,retries=2"}, true},
-		{"traced PDES run", WorkloadOptions{Nodes: 8, IntraParallel: 2, Trace: trace.NewCollector(16)}, false},
+			Fault: "drop=1,scope=forwards,timeout=20000,retries=2"}, true, ""},
+		{"traced PDES run", WorkloadOptions{Nodes: 8, IntraParallel: 2, Trace: trace.NewCollector(16)}, false, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -137,6 +141,9 @@ func TestRunNPBBadInputErrors(t *testing.T) {
 			_, err := RunNPB("cg", "dsm2", tc.opts)
 			if err == nil {
 				t.Fatal("RunNPB accepted the input")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 			if got := errors.Is(err, machine.ErrDeadlock); got != tc.deadlock {
 				t.Fatalf("errors.Is(err, machine.ErrDeadlock) = %v, want %v (err: %v)", got, tc.deadlock, err)

@@ -10,16 +10,19 @@ import (
 	"cenju4/internal/topology"
 )
 
+// roundTripSpecs covers every field of Spec; FuzzParseSpec seeds its
+// corpus with their textual forms.
+var roundTripSpecs = []Spec{
+	{},
+	{Seed: 7, Drop: 0.25},
+	{Seed: 1, Dup: 0.125, Delay: 0.5, DelayBy: 300, From: 10, Until: 90},
+	{Seed: 3, Corrupt: 0.01, Scope: ScopeAll, MaxFaults: 12},
+	{Seed: 9, StallEvery: 16, StallFor: 450, Timeout: 1000, Retries: 2},
+	{Seed: 2, Drop: 0.1, Scope: ScopeForwards, ModuleBuf: 1},
+}
+
 func TestSpecStringParseRoundTrip(t *testing.T) {
-	specs := []Spec{
-		{},
-		{Seed: 7, Drop: 0.25},
-		{Seed: 1, Dup: 0.125, Delay: 0.5, DelayBy: 300, From: 10, Until: 90},
-		{Seed: 3, Corrupt: 0.01, Scope: ScopeAll, MaxFaults: 12},
-		{Seed: 9, StallEvery: 16, StallFor: 450, Timeout: 1000, Retries: 2},
-		{Seed: 2, Drop: 0.1, Scope: ScopeForwards, ModuleBuf: 1},
-	}
-	for _, s := range specs {
+	for _, s := range roundTripSpecs {
 		s = s.Normalize()
 		text := s.String()
 		back, err := ParseSpec(text)
@@ -54,6 +57,7 @@ func TestParseSpecPresetsAndErrors(t *testing.T) {
 	for _, bad := range []string{
 		"bogus-preset", "drop", "drop=x", "drop=1.5", "drop=0.9,dup=0.9",
 		"from=9,until=3", "k=1",
+		"drop=NaN", "corrupt=NaN,drop=0.5", "dup=nan", "delay=-0.1", "drop=Inf",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

@@ -328,7 +328,12 @@ func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 		for n := range progs {
 			progs[n] = &cpu.SliceProgram{Ops: roundSlice(ops[n], r, rounds)}
 		}
-		mr := runMachine(m, progs, c.MaxEvents)
+		// Budget and watchdog aborts both panic into the recover
+		// path above, which classifies them uniformly.
+		mr, err := m.RunContext(context.Background(), progs, c.MaxEvents)
+		if err != nil {
+			panic(err)
+		}
 		res.Quiescents++
 		res.SimTime = mr.Time
 		res.Events = mr.Events
@@ -343,20 +348,6 @@ func RunOps(c Case, ops [][]cpu.Op) (res *Result) {
 	}
 	finish()
 	return res
-}
-
-// runMachine runs one round, optionally under an event budget. Budget
-// and watchdog aborts both surface as panics so RunOps's recover path
-// classifies them uniformly (machine.Run already panics on deadlock).
-func runMachine(m *machine.Machine, progs []cpu.Program, maxEvents uint64) machine.Result {
-	if maxEvents == 0 {
-		return m.Run(progs)
-	}
-	r, err := m.RunContext(context.Background(), progs, maxEvents)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // roundSlice returns stream r of rounds equal chunks of ops.

@@ -381,16 +381,11 @@ func allDone(done []bool) bool {
 // watchdog's stuck-state diagnosis; callers that want it as a value
 // use RunContext.
 func (m *Machine) Run(progs []cpu.Program) Result {
-	done := m.launch(progs)
-	if m.psim != nil {
-		m.psim.Run(nil, m.runQuiescent) // nil poll: cannot return an error
-	} else {
-		m.eng.Run()
+	r, err := m.RunContext(context.Background(), progs, 0)
+	if err != nil {
+		panic(err) // with no deadline or budget, always a *DeadlockError
 	}
-	if !allDone(done) {
-		panic(m.deadlock(done))
-	}
-	return m.Snapshot()
+	return r
 }
 
 // ErrEventBudget is returned by RunContext when a run fires more
@@ -404,6 +399,15 @@ var ErrEventBudget = errors.New("machine: event budget exhausted")
 // profiles, small enough that a cancelled job stops within
 // microseconds of wall time.
 const runPollEvents = 4096
+
+// overBudget returns the ErrEventBudget error for a run that has fired
+// more than maxEvents events (0 = unlimited), nil otherwise.
+func overBudget(fired, maxEvents uint64) error {
+	if maxEvents != 0 && fired > maxEvents {
+		return fmt.Errorf("%w (%d events fired, budget %d)", ErrEventBudget, fired, maxEvents)
+	}
+	return nil
+}
 
 // RunContext is Run with an abort path: between bounded event chunks
 // it polls ctx and an optional event budget (0 = unlimited), so a
@@ -427,39 +431,31 @@ func (m *Machine) RunContext(ctx context.Context, progs []cpu.Program, maxEvents
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if fired := m.psim.Fired(); maxEvents != 0 && fired > maxEvents {
-				return fmt.Errorf("%w (%d events fired, budget %d)", ErrEventBudget, fired, maxEvents)
-			}
-			return nil
+			return overBudget(m.psim.Fired(), maxEvents)
 		}
 		if err := m.psim.Run(poll, m.runQuiescent); err != nil {
 			return Result{}, err
 		}
-		if !allDone(done) {
-			return Result{}, m.deadlock(done)
-		}
-		return m.Snapshot(), nil
-	}
-	var fired uint64
-	for {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		limit := uint64(runPollEvents)
-		if maxEvents != 0 {
-			// Shrink the final chunk to the remaining budget plus one:
-			// the extra event is what proves the budget is exceeded.
-			if rem := maxEvents - fired; rem < limit {
-				limit = rem + 1
+	} else {
+		var fired uint64
+		for more := true; more; {
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
 			}
-		}
-		n, more := m.eng.RunChunk(limit)
-		fired += n
-		if maxEvents != 0 && fired > maxEvents {
-			return Result{}, fmt.Errorf("%w (%d events fired, budget %d)", ErrEventBudget, fired, maxEvents)
-		}
-		if !more {
-			break
+			limit := uint64(runPollEvents)
+			if maxEvents != 0 {
+				// Shrink the final chunk to the remaining budget plus one:
+				// the extra event is what proves the budget is exceeded.
+				if rem := maxEvents - fired; rem < limit {
+					limit = rem + 1
+				}
+			}
+			var n uint64
+			n, more = m.eng.RunChunk(limit)
+			fired += n
+			if err := overBudget(fired, maxEvents); err != nil {
+				return Result{}, err
+			}
 		}
 	}
 	if !allDone(done) {

@@ -476,10 +476,10 @@ func (c *Coordinator) replay() {
 	}
 }
 
-// Run drives two-phase windows until global quiescence. poll, if
-// non-nil, runs between windows and aborts the run by returning an
-// error (context cancellation, event budgets). quiesce, if non-nil,
-// runs at every global drain — the machine's quiescent callbacks.
+// Run drives two-phase windows until global quiescence. poll runs
+// between windows and aborts the run by returning an error (context
+// cancellation, event budgets). quiesce runs at every global drain —
+// the machine's quiescent callbacks.
 // Scheduling new work from a quiescent callback is unsupported under
 // intra-run parallelism (their push order across shards cannot be
 // reconstructed) and panics.
@@ -487,10 +487,8 @@ func (c *Coordinator) Run(poll func() error, quiesce func()) error {
 	stop, panics := c.startWorkers()
 	defer stop()
 	for {
-		if poll != nil {
-			if err := poll(); err != nil {
-				return err
-			}
+		if err := poll(); err != nil {
+			return err
 		}
 		w, any := c.minHead()
 		if !any {
@@ -508,11 +506,9 @@ func (c *Coordinator) Run(poll func() error, quiesce func()) error {
 				s.eng.SyncTo(t)
 				s.eng.BeginDriverSection(t)
 			}
-			if quiesce != nil {
-				quiesce()
-				if _, refilled := c.minHead(); refilled {
-					panic("psim: quiescent callback scheduled events — round-injecting drivers are unsupported under intra-run parallelism")
-				}
+			quiesce()
+			if _, refilled := c.minHead(); refilled {
+				panic("psim: quiescent callback scheduled events — round-injecting drivers are unsupported under intra-run parallelism")
 			}
 			return nil
 		}

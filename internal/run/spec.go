@@ -164,7 +164,7 @@ func (s Spec) resolve() (npb.Options, machine.Config, error) {
 	default:
 		return bad("unknown protocol %q (want queuing or nack)", s.Protocol)
 	}
-	if s.Scale < 0.001 || s.Scale > 4 {
+	if !(s.Scale >= 0.001 && s.Scale <= 4) { // written so NaN fails too
 		return bad("scale %g out of range [0.001, 4]", s.Scale)
 	}
 	if s.Iterations < 1 || s.Iterations > 64 {

@@ -4,10 +4,11 @@ package sim
 // observationally equivalent to a reference engine built on
 // container/heap (the implementation the calendar queue replaced).
 // Both engines are driven by identical randomized scripts of
-// schedule / nested-schedule / cancel / Step / Run / RunUntil / Stop
-// operations, and must produce identical firing logs, clocks, and
-// counters. Any ordering bug in the bucket scan, cursor reset, lazy
-// delete, or rebuild shows up as a log divergence.
+// schedule / nested-schedule / cancel operations interleaved with
+// bounded RunChunk windows and full runs, and must produce identical
+// firing logs, clocks, and counters. Any ordering bug in the bucket
+// scan, cursor reset, lazy delete, or rebuild shows up as a log
+// divergence.
 
 import (
 	"container/heap"
@@ -56,11 +57,10 @@ func (h *refHeap) Pop() any {
 }
 
 type refEngine struct {
-	now     Time
-	seq     uint64
-	queue   refHeap
-	fired   uint64
-	stopped bool
+	now   Time
+	seq   uint64
+	queue refHeap
+	fired uint64
 }
 
 func (e *refEngine) at(t Time, fn func()) *refEvent {
@@ -92,19 +92,8 @@ func (e *refEngine) step() bool {
 	return true
 }
 
-func (e *refEngine) run() {
-	e.stopped = false
-	for !e.stopped && e.step() {
-	}
-}
-
-func (e *refEngine) runUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.step()
-	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
+func (e *refEngine) runChunk(limit uint64) {
+	for n := uint64(0); n < limit && e.step(); n++ {
 	}
 }
 
@@ -127,11 +116,7 @@ type diffDriver struct {
 	// Engine hooks, bound by the two adapters below.
 	now      func() Time
 	schedule func(t Time, fn func()) (cancel func())
-	step     func() bool
-	run      func()
-	runUntil func(Time)
-	stop     func()
-	pending  func() int
+	runChunk func(limit uint64)
 
 	// live cancel funcs for still-pending events, keyed by event id.
 	live map[int]func()
@@ -155,8 +140,6 @@ func (d *diffDriver) spawn(at Time) {
 		case r < 45:
 			// Cancel a random still-pending event.
 			d.cancelRandom()
-		case r < 47:
-			d.stop()
 		}
 	})
 	d.live[id] = cancel
@@ -183,18 +166,15 @@ func (d *diffDriver) cancelRandom() {
 
 // chain schedules one link of a self-rescheduling chain at at: each
 // firing schedules the next link wide/2..3*wide/2 later until left
-// runs out, and occasionally cancels a pending event or stops the run.
+// runs out, and occasionally cancels a pending event.
 func (d *diffDriver) chain(at, wide Time, left int) {
 	id := d.next
 	d.next++
 	cancel := d.schedule(at, func() {
 		d.log = append(d.log, fireRec{id: id, at: d.now()})
 		delete(d.live, id)
-		switch r := d.rng.Intn(100); {
-		case r < 5:
+		if d.rng.Intn(100) < 5 {
 			d.cancelRandom()
-		case r < 6:
-			d.stop()
 		}
 		if left > 0 {
 			d.chain(d.now()+wide/2+Time(d.rng.Int63n(int64(wide))), wide, left-1)
@@ -206,7 +186,7 @@ func (d *diffDriver) chain(at, wide Time, left int) {
 // runPhaseScript drives the phase-shift scenario for seed: a burst of
 // events about half a nanosecond apart (ties included, each spawning
 // short follow-ups as in runScript), then tens to hundreds of chains
-// whose links are 1-128 us apart, with RunUntil windows before the
+// whose links are 1-128 us apart, with RunChunk windows before the
 // final drain.
 func runPhaseScript(seed int64, d *diffDriver) {
 	d.rng = rand.New(rand.NewSource(seed))
@@ -221,12 +201,9 @@ func runPhaseScript(seed int64, d *diffDriver) {
 		d.chain(Time(d.rng.Intn(burst)), wide, 8+d.rng.Intn(24))
 	}
 	for r := d.rng.Intn(4); r > 0; r-- {
-		d.runUntil(d.now() + Time(d.rng.Int63n(4*int64(wide))))
+		d.runChunk(uint64(d.rng.Intn(4 * burst)))
 	}
-	d.run()
-	for d.pending() > 0 { // drain past any trailing in-callback Stop
-		d.run()
-	}
+	d.runChunk(^uint64(0))
 }
 
 // runScript drives one engine through the scripted scenario for seed.
@@ -255,22 +232,17 @@ func runScript(seed int64, d *diffDriver) {
 			d.cancelRandom()
 		}
 		switch d.rng.Intn(4) {
-		case 0:
-			for i := d.rng.Intn(6); i > 0; i-- {
-				d.step()
-			}
-		case 1:
-			d.runUntil(d.now() + Time(d.rng.Intn(1<<21)))
+		case 0: // a few single events
+			d.runChunk(uint64(d.rng.Intn(6)))
+		case 1: // a window that usually stops mid-schedule
+			d.runChunk(uint64(d.rng.Intn(64)))
 		case 2:
-			d.run() // may be cut short by a Stop inside a callback
+			d.runChunk(^uint64(0))
 		case 3:
 			// Schedule-only round: let pending events pile up.
 		}
 	}
-	d.run()
-	for d.pending() > 0 { // drain past any trailing in-callback Stop
-		d.run()
-	}
+	d.runChunk(^uint64(0))
 }
 
 func bindReal(e *Engine) *diffDriver {
@@ -280,11 +252,7 @@ func bindReal(e *Engine) *diffDriver {
 		ev := e.At(t, fn)
 		return func() { e.Cancel(ev) }
 	}
-	d.step = e.Step
-	d.run = func() { e.Run() }
-	d.runUntil = func(t Time) { e.RunUntil(t) }
-	d.stop = e.Stop
-	d.pending = e.Pending
+	d.runChunk = func(limit uint64) { e.RunChunk(limit) }
 	return d
 }
 
@@ -295,11 +263,7 @@ func bindRef(e *refEngine) *diffDriver {
 		ev := e.at(t, fn)
 		return func() { e.cancel(ev) }
 	}
-	d.step = e.step
-	d.run = e.run
-	d.runUntil = e.runUntil
-	d.stop = func() { e.stopped = true }
-	d.pending = func() int { return len(e.queue) }
+	d.runChunk = e.runChunk
 	return d
 }
 
@@ -316,8 +280,8 @@ func TestDifferentialCalendarVsHeap(t *testing.T) {
 // TestDifferentialCalendarVsHeapPhaseShift runs the differential check
 // over phase-shift scripts: a dense burst sizes the queue, then chains
 // run far sparser, so the queue must re-derive its width through the
-// scan-cost window and empty-ring rebuilds while cancels, Steps,
-// RunUntil windows and Stops interleave. The test also checks that the
+// scan-cost window and empty-ring rebuilds while cancels and RunChunk
+// windows interleave. The test also checks that the
 // scripts reach those rebuilds.
 func TestDifferentialCalendarVsHeapPhaseShift(t *testing.T) {
 	sequences := 300

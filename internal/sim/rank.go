@@ -166,9 +166,6 @@ func (e *Engine) EnableRankedMode() {
 	e.drvPre = true // construction-time driver pushes precede the run
 }
 
-// Ranked reports whether the engine is in ranked mode.
-func (e *Engine) Ranked() bool { return e.ranked }
-
 // nextRank mints the rank for a push happening now. Inside an event
 // handler the rank descends from the firing event; outside (driver
 // context) it is a nil-parent rank carrying the driver section.
@@ -204,10 +201,10 @@ func (e *Engine) BeginDriverSection(t Time) {
 func (e *Engine) SetDriverSlot(n uint64) { e.drvSlot = n }
 
 // RunDue fires every queued event with at <= deadline, in (time, rank)
-// order, and returns the count fired. Unlike RunUntil it neither bumps
-// the clock to the deadline nor invokes the idle func: shard engines
-// are driven window by window and quiescence is a global property the
-// coordinator decides. Ranked mode only.
+// order, and returns the count fired. Unlike RunChunk it never invokes
+// the idle func: shard engines are driven window by window and
+// quiescence is a global property the coordinator decides. Ranked mode
+// only.
 func (e *Engine) RunDue(deadline Time) uint64 {
 	if !e.ranked {
 		panic("sim: RunDue requires ranked mode")

@@ -6,8 +6,6 @@ import (
 	"testing"
 )
 
-// --- Satellite bugfix: RunUntil idle parity with Run/RunChunk ---
-
 // driveRounds builds a workload whose driver injects one batch of
 // events per idle callback, for `rounds` rounds, each batch `step` ns
 // after the previous drain. Returns the engine and a pointer to the
@@ -28,9 +26,8 @@ func driveRounds(rounds int, step Time) (*Engine, *int) {
 }
 
 // TestIdleCountParityAcrossRunModes pins the idle-callback count of
-// Run, RunChunk, and RunUntil on the same round-injecting workload.
-// RunUntil historically skipped the idle func on queue drain, so
-// quiescent hooks went dark under window-bounded execution.
+// Run and of small RunChunk windows on the same round-injecting
+// workload: slicing a run must not skip a quiescent point.
 func TestIdleCountParityAcrossRunModes(t *testing.T) {
 	const rounds = 5
 	const step = Time(10)
@@ -46,7 +43,6 @@ func TestIdleCountParityAcrossRunModes(t *testing.T) {
 			}
 		}
 	}
-	untilN := func(e *Engine) uint64 { return e.RunUntil(Time(1_000_000)) }
 
 	type result struct {
 		fired uint64
@@ -54,7 +50,7 @@ func TestIdleCountParityAcrossRunModes(t *testing.T) {
 	}
 	results := map[string]result{}
 	for name, drive := range map[string]func(*Engine) uint64{
-		"Run": runN, "RunChunk": chunkN, "RunUntil": untilN,
+		"Run": runN, "RunChunk": chunkN,
 	} {
 		e, idles := driveRounds(rounds, step)
 		fired := drive(e)
@@ -72,50 +68,6 @@ func TestIdleCountParityAcrossRunModes(t *testing.T) {
 		}
 	}
 }
-
-// TestRunUntilIdleRespectsDeadline checks that events the idle func
-// schedules beyond the deadline stay queued: the idle func fires at
-// the drain, but the window boundary still holds.
-func TestRunUntilIdleRespectsDeadline(t *testing.T) {
-	e := NewEngine()
-	idles := 0
-	e.SetIdleFunc(func() {
-		idles++
-		if idles == 1 {
-			e.At(200, func() {}) // beyond the window
-		}
-	})
-	e.At(50, func() {})
-	fired := e.RunUntil(100)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (the t=50 event only)", fired)
-	}
-	if idles != 1 {
-		t.Fatalf("idle count = %d, want 1 (single drain; t=200 refill is past deadline)", idles)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1 (idle-scheduled t=200 event held for next window)", e.Pending())
-	}
-	if e.Now() != 100 {
-		t.Fatalf("Now = %v, want deadline 100", e.Now())
-	}
-}
-
-// TestRunUntilIdleNotCalledOnStop: a stopped engine is paused, not
-// quiescent — same rule Run follows.
-func TestRunUntilIdleNotCalledOnStop(t *testing.T) {
-	e := NewEngine()
-	idles := 0
-	e.SetIdleFunc(func() { idles++ })
-	e.At(10, func() { e.Stop() })
-	e.At(20, func() {})
-	e.RunUntil(100)
-	if idles != 0 {
-		t.Fatalf("idle count = %d, want 0 after Stop", idles)
-	}
-}
-
-// --- Satellite bugfix: After/RunFor overflow diagnosis ---
 
 func mustPanicContaining(t *testing.T, substr string, fn func()) {
 	t.Helper()
@@ -150,15 +102,6 @@ func TestAfterOverflowPanics(t *testing.T) {
 	// panic; the overflow diagnosis names the real bug.
 	mustPanicContaining(t, "overflows sim.Time", func() {
 		e.After(^Time(0), func() {})
-	})
-}
-
-func TestRunForOverflowPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(100, func() {})
-	e.Run()
-	mustPanicContaining(t, "overflows sim.Time", func() {
-		e.RunFor(^Time(0))
 	})
 }
 
@@ -214,8 +157,7 @@ func TestRankedOrderMatchesSequential(t *testing.T) {
 		rankEng := NewEngine()
 		rankEng.EnableRankedMode()
 		recordingWorkload(rankEng, rand.New(rand.NewSource(seed)), &rankTrace)
-		for rankEng.Step() {
-		}
+		rankEng.Run()
 
 		if len(seqTrace) != len(rankTrace) {
 			t.Fatalf("seed %d: fired %d sequential vs %d ranked events", seed, len(seqTrace), len(rankTrace))
@@ -267,8 +209,7 @@ func TestRankedCancel(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2 after cancel", e.Pending())
 	}
-	for e.Step() {
-	}
+	e.Run()
 	if fmt.Sprint(fired) != "[1 3]" {
 		t.Fatalf("fired = %v, want [1 3]", fired)
 	}
@@ -308,8 +249,7 @@ func TestInjectedRankOrdering(t *testing.T) {
 	// t=15 as the locals. Their ranks must order a < sub0 < sub1 < b.
 	e.InjectAt(15, ComposedRank(parent, pushAt, slot, 0), func() { got = append(got, "sub-0") })
 	e.InjectAt(15, ComposedRank(parent, pushAt, slot, 1), func() { got = append(got, "sub-1") })
-	for e.Step() {
-	}
+	e.Run()
 
 	want := "[local-a sub-0 sub-1 local-b]"
 	if fmt.Sprint(got) != want {

@@ -9,14 +9,18 @@
 // The queue is a lazy-delete bucketed calendar queue (see calqueue.go),
 // chosen for the simulator's near-monotonic schedule pattern; the
 // differential test in calqueue_test.go proves it dequeue-equivalent to
-// the reference binary heap. Event records are pooled: once an event
-// has fired, the engine recycles its storage for a later At/After. The
-// *Event handle returned by At/After is therefore valid for
-// Cancel/Canceled only until the event fires; retaining a handle past
-// that point and using it may observe an unrelated recycled event.
-// Canceled events are never recycled, so a canceled handle's Canceled()
-// stays true indefinitely. No simulation model in this repository
-// retains handles past firing.
+// the reference binary heap. The engine has one run loop, RunChunk:
+// Run is RunChunk without a limit, and drivers that poll for
+// cancellation or budgets between bounded chunks fire the identical
+// event sequence.
+//
+// Event records are pooled: once an event has fired, the engine
+// recycles its storage for a later At/After. The *Event handle returned
+// by At/After is therefore valid for Cancel/Canceled only until the
+// event fires; retaining a handle past that point and using it may
+// observe an unrelated recycled event. Canceled events are never
+// recycled, so a canceled handle's Canceled() stays true indefinitely.
+// No simulation model in this repository retains handles past firing.
 package sim
 
 import "fmt"
@@ -60,13 +64,12 @@ func (e *Event) When() Time { return e.at }
 //
 // The zero value is not usable; create engines with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   calQueue
-	fired   uint64
-	lastAt  Time // time of the most recently fired event
-	stopped bool
-	idle    func()
+	now    Time
+	seq    uint64
+	queue  calQueue
+	fired  uint64
+	lastAt Time // time of the most recently fired event
+	idle   func()
 
 	// Ranked mode (see rank.go): events are ordered by (time, Rank)
 	// instead of (time, seq), which lets an outside coordinator inject
@@ -177,9 +180,8 @@ func fire(fn func(), fnc func(any), arg any) {
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it always indicates a model bug. Scheduling while the engine
-// is stopped (or after Stop, before the next Run) is allowed; the event
-// waits for the next Run/RunUntil.
+// panics: it always indicates a model bug. Scheduling between RunChunk
+// calls is allowed; the event waits for the next Run/RunChunk.
 //
 //cenju4:hotpath
 func (e *Engine) At(t Time, fn func()) *Event {
@@ -255,19 +257,6 @@ func (e *Engine) Cancel(ev *Event) {
 	e.queue.dead++
 }
 
-// Step executes the single earliest event. It reports false when the
-// queue is empty.
-//
-//cenju4:hotpath
-func (e *Engine) Step() bool {
-	ev := e.pop()
-	if ev == nil {
-		return false
-	}
-	e.fireEvent(ev)
-	return true
-}
-
 // pop removes the earliest pending event from whichever queue the
 // engine runs on (nil when empty).
 //
@@ -304,53 +293,38 @@ func (e *Engine) fireEvent(ev *Event) {
 // the event queue drains — the machine's quiescent points. fn may
 // schedule new events; Run then continues. Drivers that inject work in
 // rounds therefore get one callback per round without hand-rolling
-// idle detection. The idle func is NOT invoked when Run returns because
-// of Stop: a stopped engine is paused mid-schedule, not quiescent.
+// idle detection.
 func (e *Engine) SetIdleFunc(fn func()) { e.idle = fn }
 
-// Run executes events until the queue drains or Stop is called. It
-// returns the number of events executed by this call. Run clears any
-// Stop left from an earlier call first, so a Stop issued while the
-// engine is not running has no effect on the next Run.
+// Run executes events until the queue drains with nothing rescheduled
+// by the idle func, and returns the number of events it executed.
 func (e *Engine) Run() uint64 {
-	start := e.fired
-	e.stopped = false
-	for !e.stopped {
-		if e.Step() {
-			continue
-		}
-		if e.idle != nil {
-			e.idle()
-		}
-		if e.Pending() == 0 {
-			break
-		}
-	}
-	return e.fired - start
+	n, _ := e.RunChunk(^uint64(0))
+	return n
 }
 
 // RunChunk executes at most limit events and reports how many fired
-// and whether work remains queued. It is Run sliced into bounded
-// pieces: the idle func fires at every queue drain exactly as in Run,
-// and a drain with nothing rescheduled ends the chunk early with
-// more=false. Callers that need to interleave the simulation with
-// outside checks — the serve layer polls a context for cancellation
-// and enforces an event budget between chunks — loop over RunChunk
-// until more is false; the event sequence is identical to one Run
-// call, so chunked execution cannot perturb a result digest. Like Run
-// it clears a stale Stop on entry and returns early (with more
-// reporting the queue state) when Stop is called mid-chunk.
+// and whether work remains queued. It is the engine's one run loop:
+// the idle func fires at every queue drain, and a drain with nothing
+// rescheduled ends the chunk early with more=false. Callers that need
+// to interleave the simulation with outside checks — the machine polls
+// a context for cancellation and enforces an event budget between
+// chunks — loop over RunChunk until more is false; the event sequence
+// is identical to one Run call, so chunked execution cannot perturb a
+// result digest.
 //
 // When the event limit lands exactly on a queue drain, the drain has
 // not yet been offered to the idle func; RunChunk then reports
 // more=true so the next call delivers the callback (which may refill
 // the queue). A finished simulation costs at most one extra call that
 // fires zero events.
+//
+//cenju4:hotpath
 func (e *Engine) RunChunk(limit uint64) (fired uint64, more bool) {
 	start := e.fired
-	e.stopped = false
-	for !e.stopped && e.fired-start < limit {
-		if e.Step() {
+	for e.fired-start < limit {
+		if ev := e.pop(); ev != nil {
+			e.fireEvent(ev)
 			continue
 		}
 		if e.idle != nil {
@@ -360,76 +334,5 @@ func (e *Engine) RunChunk(limit uint64) (fired uint64, more bool) {
 			return e.fired - start, false
 		}
 	}
-	if e.stopped {
-		return e.fired - start, e.Pending() > 0
-	}
 	return e.fired - start, e.Pending() > 0 || e.idle != nil
 }
-
-// RunUntil executes events with time <= deadline. Events scheduled past
-// the deadline remain queued; the clock is left at the last fired event
-// (or advanced to the deadline if nothing fired at it). The idle func
-// is invoked at every queue drain, exactly as in Run and RunChunk, so
-// quiescent-point hooks (Machine.AutoValidate, round-injecting drivers)
-// keep firing under window-bounded execution; events the idle func
-// schedules at or before the deadline run within this call. Like Run it
-// clears a stale Stop on entry and returns early when Stop is called.
-//
-//cenju4:hotpath
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	start := e.fired
-	e.stopped = false
-	for !e.stopped {
-		ev := e.pop()
-		if ev == nil {
-			// True drain: give the idle func its quiescent point; if it
-			// refills the queue, keep going (Run behaves identically).
-			if e.idle != nil {
-				e.idle()
-				if e.Pending() > 0 {
-					continue
-				}
-			}
-			break
-		}
-		if ev.at > deadline {
-			e.unpop(ev) // not due: put it back (ordering key preserved)
-			break
-		}
-		e.fireEvent(ev)
-	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
-	}
-	return e.fired - start
-}
-
-// unpop returns a popped-but-not-fired event to the queue. Its ordering
-// key (seq or rank) is untouched, so the put-back cannot perturb
-// tie-breaking.
-func (e *Engine) unpop(ev *Event) {
-	if e.ranked {
-		e.rh.push(ev)
-		return
-	}
-	e.queue.push(ev)
-}
-
-// RunFor runs events within the next d nanoseconds (see RunUntil). A
-// horizon so large that now+d wraps around sim.Time panics with an
-// overflow diagnosis rather than a misleading result.
-func (e *Engine) RunFor(d Time) uint64 {
-	deadline := e.now + d
-	if deadline < e.now {
-		panic(fmt.Sprintf("sim: RunFor(%v) from now %v overflows sim.Time", d, e.now))
-	}
-	return e.RunUntil(deadline)
-}
-
-// Stop makes the current Run/RunUntil call return after the current
-// event completes. Pending events stay queued and fire on the next
-// Run/RunUntil; events may still be scheduled and canceled while the
-// engine is stopped. Stop does not persist: the next Run/RunUntil
-// clears it on entry, so stopping an engine that is not running is a
-// no-op.
-func (e *Engine) Stop() { e.stopped = true }
